@@ -182,7 +182,9 @@ def collect_kmeans(store: KVStore, table: str, result: JobResult) -> KMeansResul
     assignments: Dict[Any, int] = {}
     cache: Optional[np.ndarray] = None
     members: Dict[int, Tuple[np.ndarray, int]] = {}
-    for key, state in table_handle.items():
+    # key order, not enumeration order: the centroid sums below must
+    # not depend on which part a concurrent scan happened to finish first
+    for key, state in sorted(table_handle.items(), key=lambda pair: pair[0]):
         assignments[key] = state.assignment
         cache = state.centroid_cache if cache is None else cache
         vec_sum, count = members.get(state.assignment, (0.0, 0))

@@ -16,7 +16,7 @@ from repro.apps.pagerank.common import (
     read_ranks,
     reference_pagerank,
 )
-from repro.apps.pagerank.batch import pagerank_batch, read_rank_table
+from repro.apps.pagerank.batch import pagerank_batch, pagerank_batch_job, read_rank_table
 from repro.apps.pagerank.direct import pagerank_direct
 from repro.apps.pagerank.mapreduce_variant import pagerank_mapreduce
 
@@ -26,6 +26,7 @@ __all__ = [
     "read_ranks",
     "reference_pagerank",
     "pagerank_batch",
+    "pagerank_batch_job",
     "pagerank_direct",
     "pagerank_mapreduce",
     "read_rank_table",

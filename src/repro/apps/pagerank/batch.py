@@ -238,14 +238,27 @@ def pagerank_batch(
     per-key path (the ablation's A/B lever): results are byte-identical
     on sink-free graphs.
     """
-    job = _BatchJob(
-        table_name,
-        ranks_table or f"{table_name}_ranks",
-        n_vertices,
-        config,
-        store,
-    )
+    job = pagerank_batch_job(store, table_name, n_vertices, config, ranks_table=ranks_table)
     return run_job(store, job, synchronize=True, **engine_kwargs)
+
+
+def pagerank_batch_job(
+    store: KVStore,
+    table_name: str,
+    n_vertices: int,
+    config: PageRankConfig = PageRankConfig(),
+    *,
+    ranks_table: Optional[str] = None,
+) -> Job:
+    """The batch-variant :class:`Job` object, unexecuted.
+
+    For callers that hand jobs to a scheduler; the graph table is only
+    read, so it may be shared by concurrent jobs that each name their
+    own *ranks_table*.
+    """
+    return _BatchJob(
+        table_name, ranks_table or f"{table_name}_ranks", n_vertices, config, store
+    )
 
 
 def read_rank_table(store: KVStore, ranks_table: str) -> Dict[int, float]:

@@ -118,8 +118,8 @@ def pagerank_job(
     """The direct-variant :class:`Job` object, unexecuted.
 
     For callers that hand jobs to a scheduler (the
-    :class:`~repro.ebsp.scheduler.JobScheduler`, the service front
-    door) instead of running them inline via :func:`pagerank_direct`.
+    :class:`~repro.ebsp.scheduler.JobScheduler`) instead of running
+    them inline via :func:`pagerank_direct`.
     """
     return _DirectJob(table_name, n_vertices, config, store)
 

@@ -106,6 +106,23 @@ class _LoaderCtx(LoaderContext):
     def enable(self, key: Any) -> None:
         self.writer.add((CONT, key))
 
+    def enable_many(self, keys: List[Any]) -> None:
+        # One columnar continue batch when every key is exactly ``int``
+        # and fits int64: readers lower the column back to the same
+        # Python ints.  bool, numpy scalars, big ints and tuples would
+        # change identity or shape in an int64 column, so they keep the
+        # per-record path.
+        if keys and all(type(key) is int for key in keys):
+            try:
+                column = np.asarray(keys, dtype=np.int64)
+            except OverflowError:
+                column = None
+            if column is not None:
+                self.writer.add_continue_batch(column)
+                return
+        for key in keys:
+            self.writer.add((CONT, key))
+
     def aggregate_value(self, name: str, value: Any) -> None:
         agg = self._engine._aggs.get(name)
         if agg is None:
@@ -633,6 +650,10 @@ class SyncEngine:
         self._compact_spills = compact_spills
         self._max_steps = max_steps
         self._agg_table_threshold = aggregator_table_threshold
+        if failure_injector is not None and not fault_tolerance:
+            # without fault tolerance the input spills are deleted
+            # before compute, so a retried part-step loses its messages
+            raise JobSpecError("failure_injector requires fault_tolerance=True")
         self._fault_tolerance = fault_tolerance
         self._failure_injector = failure_injector
         self._max_retries = max_retries

@@ -10,7 +10,10 @@ are computed from some source.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from repro.kvstore.api import FnPairConsumer, PartConsumer, PartView
+from repro.runtime.shipping import CONSUMER_SHIP_ATTR
 
 
 class LoaderContext(abc.ABC):
@@ -31,6 +34,11 @@ class LoaderContext(abc.ABC):
     @abc.abstractmethod
     def aggregate_value(self, name: str, value: Any) -> None:
         """Contribute *value* to a named aggregator's initial state."""
+
+    def enable_many(self, keys: List[Any]) -> None:
+        """Enable every component in *keys*; engines may batch this."""
+        for key in keys:
+            self.enable(key)
 
 
 class Loader(abc.ABC):
@@ -78,13 +86,31 @@ class EnableKeysLoader(Loader):
             ctx.enable(key)
 
 
+class _PartKeys(PartConsumer):
+    """Each part's key list, in part order.
+
+    Shippable, so under a process runtime only the keys cross the pipe —
+    not the values a pair enumeration would drag along.
+    """
+
+    def __init__(self) -> None:
+        setattr(self, CONSUMER_SHIP_ATTR, True)
+
+    def process_part(self, part_index: int, part: PartView) -> List[List[Any]]:
+        return [list(part.keys())]
+
+    def combine(self, a: List[List[Any]], b: List[List[Any]]) -> List[List[Any]]:
+        return a + b
+
+
 class TableScanLoader(Loader):
     """Derive the initial condition from an existing table's contents.
 
     For every (key, value) pair of *table*, calls *fn(ctx, key, value)*
     — the client's hook to emit states, messages, enables, and
     aggregator inputs.  When *fn* is omitted, every key in the table is
-    simply enabled (the common "run over this whole table" start).
+    simply enabled (the common "run over this whole table" start), one
+    :meth:`LoaderContext.enable_many` call per part.
     """
 
     def __init__(self, table: Any, fn: Optional[Callable[[LoaderContext, Any, Any], None]] = None):
@@ -92,12 +118,9 @@ class TableScanLoader(Loader):
         self._fn = fn
 
     def load(self, ctx: LoaderContext) -> None:
-        from repro.kvstore.api import FnPairConsumer
-
         if self._fn is None:
-            self._table.enumerate_pairs(
-                FnPairConsumer(lambda key, value: ctx.enable(key))
-            )
+            for keys in self._table.enumerate_parts(_PartKeys()) or []:
+                ctx.enable_many(keys)
         else:
             fn = self._fn
             self._table.enumerate_pairs(

@@ -641,7 +641,11 @@ def _key_chunk_array(keys: Any) -> np.ndarray:
 
 
 def _concat_columns(chunks: List[np.ndarray]) -> np.ndarray:
-    """Concatenate column chunks; mixed dtypes degrade to object."""
+    """Concatenate column chunks; mixed dtypes degrade to object.
+
+    Empty chunks carry no values, so their dtype (an empty collection
+    defaults to object) must not degrade a typed column."""
+    chunks = [c for c in chunks if len(c)]
     if not chunks:
         return np.empty(0, dtype=object)
     if len(chunks) == 1:

@@ -11,15 +11,14 @@ Lifecycle of a submission::
               └─ queued  ─► QUEUED ──(drain on any completion)──► ...
 
 Preparation (input generation, table seeding) is deferred until after
-the cache lookup misses *and* admission lets the job through: builders
-may mutate tables, and mutating before the lookup would invalidate the
-very entries the lookup should hit.
-
-Completion bumps every written table's mutation epoch explicitly.
-Under the process runtime the engine's writes happen in child
-processes against forked table objects, so the parent-side epoch would
-otherwise stay stale — the bump-then-record order makes the cache
-entry consistent regardless of runtime.
+the cache lookup misses *and* admission lets the job through, so a hit
+costs no table work.  A prepared job reads immutable input tables and
+writes only its own scratch tables (see :mod:`repro.service.catalog`):
+the inputs are handed to the scheduler as read-only, so jobs over one
+input run side by side, and a job's scratch tables are dropped on every
+path that does not reach ``collect`` (failure, cancellation, a submit
+error).  Since no job writes an input, completing a job leaves every
+cached result over the same input valid.
 """
 
 from __future__ import annotations
@@ -194,10 +193,15 @@ class FrontDoor:
         engine_kwargs.setdefault("on_step", on_step)
         try:
             handle = self._scheduler.submit(
-                prepared.job, on_start=on_start, on_done=on_done, **engine_kwargs
+                prepared.job,
+                read_only=prepared.input_tables,
+                on_start=on_start,
+                on_done=on_done,
+                **engine_kwargs,
             )
         except Exception as exc:
             self._prepared.pop(record.job_id, None)
+            self._drop_scratch(prepared)
             self._admission.release(record.request.tenant, 0)
             self._fail(record, exc)
             self._drain()
@@ -221,9 +225,6 @@ class FrontDoor:
             self._admission.release(record.request.tenant, part_steps)
             if handle.state is JobState.SUCCEEDED and prepared is not None:
                 try:
-                    # Epoch bump before recording: see module docstring.
-                    for name in prepared.input_tables:
-                        self._store.get_table(name).note_mutation()
                     payload = prepared.collect(self._store, handle.result)
                     self._cache.put(
                         self._store, record.fingerprint, prepared.input_tables, payload
@@ -234,14 +235,25 @@ class FrontDoor:
                     self._retire(record)
                     self._counter("service.jobs_done", record.request.tenant).add()
                 except Exception as exc:
+                    self._drop_scratch(prepared)
                     self._fail(record, exc)
             elif handle.state is JobState.CANCELLED:
+                self._drop_scratch(prepared)
                 record.finished_at = time.time()
                 self._transition(record, JobStatus.CANCELLED)
                 self._retire(record)
             else:
+                self._drop_scratch(prepared)
                 self._fail(record, handle.error or ServiceError("job failed"))
             self._drain()
+
+    def _drop_scratch(self, prepared: Optional[PreparedJob]) -> None:
+        """Drop whatever is left of a job's scratch tables.  Lock held."""
+        if prepared is None:
+            return
+        for name in prepared.scratch_tables:
+            if self._store.has_table(name):
+                self._store.drop_table(name)
 
     def _drain(self) -> None:
         """Admit every queued job its tenant can now run.  Lock held.

@@ -56,6 +56,10 @@ ALLOWED_ENGINE_OPTIONS: Dict[str, type] = {
     "spill_batch": int,
 }
 
+#: Everything but ``synchronize`` configures the synchronous engine;
+#: the barrier-free engine accepts none of these options.
+SYNC_ONLY_ENGINE_OPTIONS = frozenset(ALLOWED_ENGINE_OPTIONS) - {"synchronize"}
+
 _TENANT_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 
 _MAX_PRIORITY = 1000
@@ -117,6 +121,13 @@ class JobRequest:
             if not ok:
                 raise BadRequestError(
                     f"engine option {key!r} must be a {expected.__name__}"
+                )
+        if self.engine.get("synchronize") is False:
+            sync_only = sorted(SYNC_ONLY_ENGINE_OPTIONS & set(self.engine))
+            if sync_only:
+                raise BadRequestError(
+                    f"engine options {sync_only} need synchronize=true "
+                    "(the barrier-free engine takes none of them)"
                 )
 
     def fingerprint(self) -> str:

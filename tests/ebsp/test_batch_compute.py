@@ -283,6 +283,17 @@ class TestGroupStepColumns:
         assert batch[0] == [2.0]
         assert batch[1] == [1.0, 3.0]  # arrival order within destination
 
+    def test_cont_only_step_keeps_typed_keys(self):
+        """A step with continues and no messages (the first step after a
+        batched loader) must not degrade its int64 keys to object."""
+        cols = StepColumns()
+        cols.cont_key_chunks.append(np.asarray([4, 1, 7], dtype=np.int64))
+        cols.cont_key_chunks.append(np.empty(0, dtype=object))
+        keys, batch = group_step_columns(cols)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [1, 4, 7]
+        assert batch.counts.tolist() == [0, 0, 0]
+
     def test_empty(self):
         keys, batch = group_step_columns(StepColumns())
         assert len(keys) == 0

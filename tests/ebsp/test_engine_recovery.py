@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import RecoveryError
+from repro.errors import JobSpecError, RecoveryError
 from repro.ebsp.aggregators import SumAggregator
 from repro.ebsp.exporters import CollectingExporter
 from repro.ebsp.loaders import DictStateLoader, EnableKeysLoader
@@ -193,3 +193,13 @@ class TestRecovery:
 
         job = TestJob(lambda ctx: False, properties=JobProperties(deterministic=True))
         assert plan_for(job).optimized_recovery
+
+
+def test_failure_injector_requires_fault_tolerance(store):
+    """Without fault tolerance a part-step's input spills are deleted
+    before compute, so a retry would silently run without its messages."""
+    injector = FailureInjector()
+    injector.schedule(part=0, step=1)
+    with pytest.raises(JobSpecError, match="fault_tolerance"):
+        run_job(store, counting_chain_job(3), failure_injector=injector)
+    assert injector.failures_injected == 0

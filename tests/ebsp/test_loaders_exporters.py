@@ -14,6 +14,7 @@ from repro.ebsp.loaders import (
     DictStateLoader,
     EnableKeysLoader,
     FunctionLoader,
+    LoaderContext,
     MessageListLoader,
     TableScanLoader,
 )
@@ -21,7 +22,7 @@ from repro.kvstore.api import TableSpec
 from repro.kvstore.local import LocalKVStore
 
 
-class FakeLoaderContext:
+class FakeLoaderContext(LoaderContext):
     def __init__(self):
         self.states = []
         self.messages = []

@@ -66,7 +66,6 @@ def catalog_with_gate(gates):
         return PreparedJob(
             job=_GateJob(table, gate),
             engine_kwargs={"synchronize": True},
-            input_tables=[table],
             collect=lambda store, result: {"steps": result.steps, "name": name},
         )
 
@@ -297,24 +296,30 @@ class TestCaching:
 
     def test_matches_direct_scheduler_run(self, store):
         """The front door adds management, not computation: payloads are
-        byte-identical to collecting a direct scheduler run."""
+        byte-identical to collecting a direct scheduler run, for every
+        catalog app."""
+        requests = [
+            JobRequest(app="pagerank", params=PR_PARAMS),
+            JobRequest(app="sssp", params={"n_vertices": 30, "n_edges": 60, "source": 2}),
+            JobRequest(app="summa", params={"m": 6, "n": 4, "inner": 5}),
+            JobRequest(app="kmeans", params={"n_points": 30, "k": 3}),
+        ]
         with FrontDoor(store) as fd:
-            record = fd.submit(JobRequest(app="pagerank", params=PR_PARAMS))
-            record.wait(60)
-            service_payload = json.dumps(record.payload, sort_keys=True)
+            records = [fd.submit(request) for request in requests]
+            for record in records:
+                assert record.wait(60) and record.status is JobStatus.DONE
 
         direct_store = LocalKVStore()
         catalog = default_catalog()
-        prepared = catalog.prepare(
-            direct_store, JobRequest(app="pagerank", params=PR_PARAMS)
-        )
         with JobScheduler(direct_store) as scheduler:
-            handle = scheduler.submit(prepared.job, **prepared.engine_kwargs)
-            handle.wait(60)
-        direct_payload = json.dumps(
-            prepared.collect(direct_store, handle.result), sort_keys=True
-        )
-        assert service_payload == direct_payload
+            for request, record in zip(requests, records):
+                prepared = catalog.prepare(direct_store, request)
+                handle = scheduler.submit(prepared.job, **prepared.engine_kwargs)
+                handle.wait(60)
+                direct_payload = prepared.collect(direct_store, handle.result)
+                assert json.dumps(record.payload, sort_keys=True) == json.dumps(
+                    direct_payload, sort_keys=True
+                ), request.app
 
 
 class TestRetention:

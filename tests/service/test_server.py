@@ -86,6 +86,20 @@ class TestBasics:
         assert call(base, "POST", "/v1/jobs", {"app": "nope"})[0] == 400
         assert call(base, "POST", "/v1/jobs", {"app": "pagerank", "params": {"x": 1}})[0] == 400
 
+    def test_barrier_free_misuse_400(self, service):
+        base, _, _ = service
+        sssp = {"n_vertices": 10, "n_edges": 20}
+        body = {"app": "sssp", "params": sssp, "engine": {"synchronize": False, "max_steps": 3}}
+        code, payload, _ = call(base, "POST", "/v1/jobs", body)
+        assert code == 400 and "synchronize" in payload["error"]
+        for app, params in (("pagerank", PR_PARAMS), ("kmeans", {"n_points": 8, "k": 2})):
+            body = {"app": app, "params": params, "engine": {"synchronize": False}}
+            code, payload, _ = call(base, "POST", "/v1/jobs", body)
+            assert code == 400 and "needs barriers" in payload["error"]
+        # apps that can run barrier-free still accept it
+        body = {"app": "sssp", "params": sssp, "engine": {"synchronize": False}}
+        assert submit_and_wait(base, body)[1] == "done"
+
     def test_malformed_json_400(self, service):
         base, _, _ = service
         request = urllib.request.Request(

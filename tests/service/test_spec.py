@@ -43,6 +43,16 @@ class TestValidation:
         }
         JobRequest(app="a", engine=engine).validate()
 
+    @pytest.mark.parametrize("option", ["max_steps", "spill_batch", "fault_tolerance"])
+    def test_sync_only_option_without_barriers_rejected(self, option):
+        engine = {"synchronize": False, option: 3 if option != "fault_tolerance" else True}
+        with pytest.raises(BadRequestError, match="need synchronize=true"):
+            JobRequest(app="a", engine=engine).validate()
+        # the same option with barriers, or unspecified synchronize, is fine
+        JobRequest(app="a", engine={**engine, "synchronize": True}).validate()
+        del engine["synchronize"]
+        JobRequest(app="a", engine=engine).validate()
+
     def test_unserializable_params_rejected(self):
         with pytest.raises(BadRequestError):
             JobRequest(app="a", params={"x": object()}).validate()
