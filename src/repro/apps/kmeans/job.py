@@ -15,13 +15,13 @@ to Lloyd's algorithm (asserted in tests against
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.ebsp.aggregators import Aggregator, SumAggregator
 from repro.ebsp.convergence import when_aggregate_zero
-from repro.ebsp.job import Compute, ComputeContext, Job
+from repro.ebsp.job import BatchComputeContext, Compute, ComputeContext, Job
 from repro.ebsp.loaders import DictStateLoader, Loader
 from repro.ebsp.results import JobResult
 from repro.ebsp.runner import run_job
@@ -44,6 +44,16 @@ class CentroidAggregator(Aggregator):
     def add(self, partial: Tuple[np.ndarray, int], value: np.ndarray) -> Tuple[np.ndarray, int]:
         vec_sum, count = partial
         return (vec_sum + value, count + 1)
+
+    def add_many(self, partial: Tuple[np.ndarray, int], values: np.ndarray) -> Tuple[np.ndarray, int]:
+        """The sequential :meth:`add` fold, vectorized: ``accumulate``
+        adds row by row from the partial, so the sum is bit-identical
+        to folding the rows one at a time (no reassociation)."""
+        if len(values) == 0:
+            return partial
+        vec_sum, count = partial
+        sums = np.add.accumulate(np.vstack((vec_sum, values)), axis=0)
+        return (sums[-1], count + len(values))
 
     def merge(self, a: Tuple[np.ndarray, int], b: Tuple[np.ndarray, int]) -> Tuple[np.ndarray, int]:
         return (a[0] + b[0], a[1] + b[1])
@@ -87,7 +97,42 @@ class _KMeansCompute(Compute):
         ctx.aggregate_value(_agg_name(nearest), state.point)
         return True  # run until the aborter stops the job
 
-    def _current_centroids(self, ctx: ComputeContext, state: _PointState) -> np.ndarray:
+    def compute_batch(self, ctx: BatchComputeContext) -> bool:
+        """The same step over a part's whole column of points.
+
+        Centroids are derived once per distinct ``centroid_cache`` (in
+        practice one per step), distances and ``argmin`` run over the
+        stacked points, and each cluster's members fold into its
+        aggregator in key order through the sequential fold — so the
+        partials, and the answer, match the per-key plane bit for bit.
+        """
+        states: List[_PointState] = ctx.read_states(0)
+        points = np.vstack([state.point for state in states])
+        nearest = np.empty(len(states), dtype=np.intp)
+        groups: Dict[bytes, List[int]] = {}
+        for row, state in enumerate(states):
+            groups.setdefault(state.centroid_cache.tobytes(), []).append(row)
+        for rows in groups.values():
+            centroids = self._current_centroids(ctx, states[rows[0]])
+            distances = np.linalg.norm(
+                centroids[None, :, :] - points[rows][:, None, :], axis=2
+            )
+            nearest[rows] = distances.argmin(axis=1)
+            for row in rows:
+                states[row].centroid_cache = centroids
+        moved = 0
+        for state, cluster in zip(states, nearest.tolist()):
+            moved += cluster != state.assignment
+            state.assignment = cluster
+        ctx.aggregate_value(MOVED, moved)
+        ctx.write_states(0, states)
+        for cluster in range(self._k):
+            ctx.aggregate_values(_agg_name(cluster), points[nearest == cluster])
+        return True
+
+    def _current_centroids(
+        self, ctx: Union[ComputeContext, BatchComputeContext], state: _PointState
+    ) -> np.ndarray:
         """Centroids from the previous step's aggregates, with the
         keep-previous rule for empty clusters."""
         centroids = np.array(state.centroid_cache, copy=True)

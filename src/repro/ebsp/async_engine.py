@@ -38,7 +38,7 @@ from repro.errors import (
     PropertyViolationError,
 )
 from repro.ebsp.job import ComputeContext, Job
-from repro.ebsp.loaders import LoaderContext
+from repro.ebsp.loaders import StagedLoaderContext
 from repro.ebsp.properties import ExecutionPlan
 from repro.ebsp.results import Counters, JobResult
 from repro.ebsp.termination import WeightController, WeightPurse
@@ -167,15 +167,13 @@ class _AsyncContext(ComputeContext):
             exporter.export(key, value)
 
 
-class _AsyncLoaderCtx(LoaderContext):
+class _AsyncLoaderCtx(StagedLoaderContext):
     """Loader context: seed messages take their weight from the controller."""
 
     def __init__(self, engine: "AsyncEngine"):
+        super().__init__(engine._state_tables)
         self._engine = engine
         self.seeds: List[Tuple[int, tuple]] = []
-
-    def put_state(self, tab_idx: int, key: Any, state: Any) -> None:
-        self._engine._state_tables[tab_idx].put(key, state)
 
     def send_message(self, key: Any, message: Any) -> None:
         weight = self._engine._controller.grant_for_message()
@@ -339,8 +337,7 @@ class AsyncEngine:
                     self._direct_exporter.begin()
                 with self._tracer.span("load", cat="engine", lane="driver"):
                     loader_ctx = _AsyncLoaderCtx(self)
-                    for loader in self._job.loaders():
-                        loader.load(loader_ctx)
+                    loader_ctx.load_all(self._job.loaders())
 
                 queue_set = self._queuing.create_queue_set(
                     f"__ebsp_async_{self._jid}", self.n_parts

@@ -53,7 +53,7 @@ from repro.ebsp.job import (
     ComputeContext,
     Job,
 )
-from repro.ebsp.loaders import LoaderContext
+from repro.ebsp.loaders import StagedLoaderContext
 from repro.ebsp.properties import ExecutionPlan
 from repro.ebsp.recovery import FailureInjector, ProgressTable, SimulatedFailure
 from repro.ebsp.results import Counters, JobResult
@@ -87,18 +87,16 @@ class _SimpleBaseContext(BaseContext):
         return self._step_num
 
 
-class _LoaderCtx(LoaderContext):
+class _LoaderCtx(StagedLoaderContext):
     """Loader context: feeds states, step-0 spills, enables, aggregates."""
 
     def __init__(self, engine: "SyncEngine"):
+        super().__init__(engine._state_tables)
         self._engine = engine
         self.writer = engine._make_writer(CLIENT_SRC, 0, 0, hold=False)
         self.agg_partials: Dict[str, Any] = {
             name: agg.create() for name, agg in engine._aggs.items()
         }
-
-    def put_state(self, tab_idx: int, key: Any, state: Any) -> None:
-        self._engine._state_tables[tab_idx].put(key, state)
 
     def send_message(self, key: Any, message: Any) -> None:
         self.writer.add((MSG, key, message))
@@ -1251,8 +1249,7 @@ class SyncEngine:
         if self._direct_exporter is not None:
             self._direct_exporter.begin()
         ctx = _LoaderCtx(self)
-        for loader in self._job.loaders():
-            loader.load(ctx)
+        ctx.load_all(self._job.loaders())
         ctx.writer.flush_all()
         self._harvest_writer(ctx.writer)
         # initial aggregator inputs are readable in step 0

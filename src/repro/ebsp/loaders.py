@@ -10,9 +10,9 @@ are computed from some source.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.kvstore.api import FnPairConsumer, PartConsumer, PartView
+from repro.kvstore.api import FnPairConsumer, PartConsumer, PartView, Table
 from repro.runtime.shipping import CONSUMER_SHIP_ATTR
 
 
@@ -49,6 +49,35 @@ class Loader(abc.ABC):
         ...
 
 
+class StagedLoaderContext(LoaderContext):
+    """The engines' shared loader-context base: batched state writes.
+
+    :meth:`put_state` stages ``(key, state)`` per state table instead of
+    issuing one store ``put`` per key; :meth:`load_all` flushes the
+    staged pairs as **one** ``put_many`` per table after each loader
+    returns.  A loader's writes therefore become visible when that
+    loader returns — a later loader reading the table still sees them,
+    and a key written twice keeps its later value (``put_many`` applies
+    pairs in order, like the loop of ``put`` it replaces).
+    """
+
+    def __init__(self, state_tables: Sequence[Table]):
+        self._state_tables = state_tables
+        self._staged: Dict[int, List[Tuple[Any, Any]]] = {}
+
+    def put_state(self, tab_idx: int, key: Any, state: Any) -> None:
+        self._state_tables[tab_idx]  # a bad index fails here, not at the flush
+        self._staged.setdefault(tab_idx, []).append((key, state))
+
+    def load_all(self, loaders: Iterable[Loader]) -> None:
+        """Run each loader in order, flushing its staged states after it."""
+        for loader in loaders:
+            loader.load(self)
+            staged, self._staged = self._staged, {}
+            for tab_idx, pairs in staged.items():
+                self._state_tables[tab_idx].put_many(pairs)
+
+
 class DictStateLoader(Loader):
     """Load a mapping into one state table, optionally enabling the keys."""
 
@@ -60,8 +89,8 @@ class DictStateLoader(Loader):
     def load(self, ctx: LoaderContext) -> None:
         for key, state in self._mapping.items():
             ctx.put_state(self._tab_idx, key, state)
-            if self._enable:
-                ctx.enable(key)
+        if self._enable:
+            ctx.enable_many(list(self._mapping))
 
 
 class MessageListLoader(Loader):

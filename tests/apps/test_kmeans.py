@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,12 +16,25 @@ from repro.apps.kmeans import (
     reference_kmeans,
     run_kmeans,
 )
+from repro.apps.kmeans.job import MOVED, _KMeansCompute, _PointState, kmeans_job
+from repro.ebsp.engine import SyncEngine
+from repro.ebsp.runner import run_job
 from repro.kvstore.local import LocalKVStore
+from repro.kvstore.partitioned import PartitionedKVStore
+from repro.service import FrontDoor, JobRequest, ServiceServer, default_catalog
+from tests.conftest import runtime_override
+from tests.service.test_server import call, submit_and_wait
 
 
 @pytest.fixture
 def store():
-    instance = LocalKVStore(default_n_parts=4)
+    # RIPPLE_RUNTIME puts the reference checks on a partitioned store
+    # with that worker runtime (CI runs this file under processes)
+    runtime = runtime_override()
+    if runtime is None:
+        instance = LocalKVStore(default_n_parts=4)
+    else:
+        instance = PartitionedKVStore(n_partitions=4, runtime=runtime)
     yield instance
     instance.close()
 
@@ -119,4 +136,181 @@ def test_ebsp_kmeans_equals_lloyd_property(seed, n, k, dims):
         assert result.assignments == expected_assignments
         assert np.allclose(result.centroids, expected_centroids)
     finally:
+        store.close()
+
+
+# -- the columnar plane ----------------------------------------------------------
+KM = {"n_points": 240, "k": 4, "seed": 2, "spread": 1.5, "separation": 1.0,
+      "max_iterations": 6}
+
+
+def _catalog_payload(store, engine):
+    """The service's K-means payload for *engine*, parsed as the wire would."""
+    request = JobRequest.from_wire({"app": "kmeans", "params": KM, "engine": engine})
+    prepared = default_catalog().prepare(store, request)
+    result = run_job(store, prepared.job, **prepared.engine_kwargs)
+    return json.dumps(prepared.collect(store, result), sort_keys=True)
+
+
+@pytest.mark.parametrize("runtime", ["inline", "threaded", "process"])
+def test_payload_identical_on_both_planes(runtime):
+    points = gaussian_blobs(
+        KM["n_points"], KM["k"], seed=KM["seed"], spread=KM["spread"],
+        separation=KM["separation"],
+    )
+    initial = initial_from(points, KM["k"])
+    _, expected, _ = reference_kmeans(points, initial, KM["max_iterations"])
+    store = PartitionedKVStore(n_partitions=4, runtime=runtime)
+    try:
+        payloads = {
+            batch: _catalog_payload(store, {} if batch is None else {"batch_compute": batch})
+            for batch in (None, False, True)
+        }
+    finally:
+        store.close()
+    assert payloads[None] == payloads[False] == payloads[True]
+    assignments = json.loads(payloads[None])["assignments"]
+    assert assignments == {str(key): cluster for key, cluster in expected.items()}
+
+
+def test_batch_plane_is_picked_by_default(monkeypatch):
+    def per_key(self, ctx):
+        raise AssertionError("per-key compute ran with batch_compute=None")
+
+    monkeypatch.setattr(_KMeansCompute, "compute", per_key)
+    store = LocalKVStore(default_n_parts=4)
+    try:
+        _catalog_payload(store, {})
+    finally:
+        store.close()
+
+
+class _PerKeyCtx:
+    """Just enough ComputeContext for one K-means invocation."""
+
+    def __init__(self, state, aggs, values):
+        self._state = state
+        self._aggs = aggs
+        self._values = values
+        self.partials = {name: agg.create() for name, agg in aggs.items()}
+
+    def read_state(self, tab_idx):
+        return self._state
+
+    def write_state(self, tab_idx, state):
+        self._state = state
+
+    def aggregate_value(self, name, value):
+        self.partials[name] = self._aggs[name].add(self.partials[name], value)
+
+    def get_aggregate_value(self, name):
+        return self._values.get(name)
+
+
+class _BatchCtx(_PerKeyCtx):
+    """Just enough BatchComputeContext for one K-means column."""
+
+    def read_states(self, tab_idx):
+        return list(self._state)
+
+    def write_states(self, tab_idx, states):
+        self._state = list(states)
+
+    def aggregate_values(self, name, values):
+        self.partials[name] = self._aggs[name].add_many(self.partials[name], values)
+
+
+def test_column_with_differing_centroid_caches_matches_per_key():
+    rng = np.random.default_rng(5)
+    k, dims = 3, 2
+    cache_a = rng.standard_normal((k, dims))
+    cache_b = cache_a + 2.0
+    points = rng.standard_normal((30, dims)) * 2
+    # cluster 1 went empty last step, so each state's own cache decides
+    # that centroid: the two halves of the column see different centroids
+    values = {"centroid_0": (np.array([0.5, 0.5]), 2), "centroid_1": (np.zeros(dims), 0),
+              "centroid_2": (np.array([-3.0, 1.0]), 1)}
+
+    def fresh_states():
+        return [
+            _PointState(point, i % k, cache_a if i % 2 else cache_b)
+            for i, point in enumerate(points)
+        ]
+
+    job = kmeans_job("unused", {i: p for i, p in enumerate(points)}, k, cache_a)
+    compute, aggs = job.get_compute(), job.aggregators()
+
+    per_key_states, per_key_partials = [], {name: agg.create() for name, agg in aggs.items()}
+    for state in fresh_states():
+        ctx = _PerKeyCtx(state, aggs, values)
+        ctx.partials = per_key_partials
+        assert compute.compute(ctx) is True
+        per_key_states.append(ctx.read_state(0))
+        per_key_partials = ctx.partials
+
+    batch_ctx = _BatchCtx(fresh_states(), aggs, values)
+    assert compute.compute_batch(batch_ctx) is True
+    batch_states = batch_ctx.read_states(0)
+
+    assert len({state.centroid_cache.tobytes() for state in batch_states}) == 2
+    for ours, theirs in zip(batch_states, per_key_states):
+        assert ours.assignment == theirs.assignment
+        assert ours.centroid_cache.tobytes() == theirs.centroid_cache.tobytes()
+    assert batch_ctx.partials[MOVED] == per_key_partials[MOVED]
+    for cluster in range(k):
+        name = f"centroid_{cluster}"
+        (ours_sum, ours_n), (theirs_sum, theirs_n) = batch_ctx.partials[name], per_key_partials[name]
+        assert ours_n == theirs_n and ours_sum.tobytes() == theirs_sum.tobytes()
+
+
+def test_add_many_is_the_sequential_fold():
+    rng = np.random.default_rng(1)
+    agg = CentroidAggregator(3)
+    partial = agg.add(agg.create(), rng.standard_normal(3) * 1e8)
+    values = rng.standard_normal((50, 3)) * np.logspace(-8, 8, 50)[:, None]
+    folded = partial
+    for value in values:
+        folded = agg.add(folded, value)
+    vec_sum, count = agg.add_many(partial, values)
+    assert count == folded[1] and vec_sum.tobytes() == folded[0].tobytes()
+    assert agg.add_many(partial, values[:0]) is partial
+
+
+def test_batch_compute_true_accepted_over_http():
+    store = PartitionedKVStore(n_partitions=4, runtime="threaded")
+    try:
+        with ServiceServer(FrontDoor(store, max_concurrent=2)) as server:
+            results = []
+            for engine in ({"batch_compute": True}, {"batch_compute": False}):
+                body = {"app": "kmeans", "params": KM, "engine": engine}
+                job_id, status = submit_and_wait(server.url, body)
+                assert status == "done"
+                code, payload, _ = call(server.url, "GET", f"/v1/jobs/{job_id}/result")
+                assert code == 200 and not payload["cached"]
+                results.append(json.dumps(payload["result"], sort_keys=True))
+        assert results[0] == results[1]
+    finally:
+        store.close()
+
+
+def test_finished_engine_is_freed_without_the_cycle_collector():
+    """No reference cycle through the engine: with the collector off, a
+    finished K-means engine dies with its last reference (the loader's
+    staging buffer and the batch compute must not pin it)."""
+    store = PartitionedKVStore(n_partitions=4, runtime="process")
+    points = gaussian_blobs(80, k=3, seed=4)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        engine = SyncEngine(store, kmeans_job("cycle_check", points, 3), max_steps=6)
+        assert engine._batch_compute and engine._ship_parts
+        result = engine.run()
+        assert result.steps > 0
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
         store.close()
