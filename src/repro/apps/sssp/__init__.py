@@ -13,6 +13,10 @@ edge gained/lost) the annotations are updated:
   distance last received from each neighbor ("extra bookkeeping to
   support its incrementality"), so only vertices actually touched by a
   change — directly or transitively — ever run.
+
+The service catalog's from-scratch solve is ``wave.py``: one
+breadth-first wave over an immutable graph table, answers in a per-job
+distance table, with a columnar face for the batch data plane.
 """
 
 from repro.apps.sssp.common import (

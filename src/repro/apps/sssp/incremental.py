@@ -30,7 +30,7 @@ from repro.ebsp.job import Compute, ComputeContext, Job
 from repro.ebsp.loaders import EnableKeysLoader, Loader
 from repro.ebsp.properties import JobProperties
 from repro.ebsp.runner import run_job
-from repro.kvstore.api import KVStore, Table, TableSpec
+from repro.kvstore.api import KVStore, TableSpec
 from repro.apps.sssp.common import (
     ChangeBatch,
     INFINITY,
@@ -105,41 +105,6 @@ class _SelectiveJob(Job):
         return JobProperties(incremental=True, no_continue=True)
 
 
-def selective_sssp_job(
-    table_name: str,
-    source: int,
-    distance_cap: int,
-    enabled: Iterable[int],
-) -> Job:
-    """The selective-variant :class:`Job` object, unexecuted.
-
-    For callers that hand jobs to a scheduler instead of driving them
-    through :class:`SelectiveSSSP`; *enabled* names the vertices to
-    wake (the source for an initial solve, changed endpoints for an
-    incremental update).
-    """
-    return _SelectiveJob(table_name, source, distance_cap, enabled)
-
-
-def seed_selective_table(table: Table, adjacency: Dict[int, Set[int]]) -> None:
-    """Write one unsolved :class:`SelectiveVertex` per vertex of *adjacency*.
-
-    Every annotation and every remembered neighbor distance starts at
-    +∞; the caller supplies an empty (or freshly cleared) table.
-    """
-    table.put_many(
-        (
-            v,
-            SelectiveVertex(
-                INFINITY,
-                np.asarray(sorted(ns), dtype=np.int64),
-                np.full(len(ns), INFINITY, dtype=np.int64),
-            ),
-        )
-        for v, ns in adjacency.items()
-    )
-
-
 class SelectiveSSSP:
     """Driver for the selective-enablement variant."""
 
@@ -177,7 +142,17 @@ class SelectiveSSSP:
         """
         table = self._store.get_table(self.table_name)
         table.clear()
-        seed_selective_table(table, adjacency)
+        table.put_many(
+            (
+                v,
+                SelectiveVertex(
+                    INFINITY,
+                    np.asarray(sorted(ns), dtype=np.int64),
+                    np.full(len(ns), INFINITY, dtype=np.int64),
+                ),
+            )
+            for v, ns in adjacency.items()
+        )
 
     def initial_solve(self, synchronize: bool = True, **engine_kwargs: Any) -> int:
         """Breadth-first wave from the source; returns steps taken.

@@ -335,6 +335,13 @@ class _BatchStepContext(BatchComputeContext):
         self._batch = batch
         self._inner.invocations += len(self._keys_list)
 
+    def _subset(self, keys: Any) -> List[Any]:
+        """*keys* (a subset of the batch) lowered to Python scalars; the
+        whole batch when ``None``."""
+        if keys is None:
+            return self._keys_list
+        return keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
+
     # -- BatchComputeContext API ------------------------------------------------
     @property
     def step_num(self) -> int:
@@ -348,11 +355,11 @@ class _BatchStepContext(BatchComputeContext):
     def messages(self) -> MessageBatch:
         return self._batch
 
-    def read_states(self, tab_idx: int) -> List[Any]:
+    def read_states(self, tab_idx: int, keys: Any = None) -> List[Any]:
         inner = self._inner
         inner._check_tab(tab_idx)
         cache = inner._cache
-        keys = self._keys_list
+        keys = self._subset(keys)
         out: List[Any] = [None] * len(keys)
         missing_keys: List[Any] = []
         missing_at: List[int] = []
@@ -374,14 +381,14 @@ class _BatchStepContext(BatchComputeContext):
                 out[i] = value
         return out
 
-    def write_states(self, tab_idx: int, states: Any) -> None:
+    def write_states(self, tab_idx: int, states: Any, keys: Any = None) -> None:
         inner = self._inner
         inner._check_tab(tab_idx)
-        keys = self._keys_list
+        keys = self._subset(keys)
         if len(states) != len(keys):
             raise ValueError(
                 f"write_states column has {len(states)} entries "
-                f"for a batch of {len(keys)} keys"
+                f"for {len(keys)} keys"
             )
         cache = inner._cache
         pending = inner._dirty_tabs.setdefault(tab_idx, {})

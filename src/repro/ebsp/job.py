@@ -116,14 +116,16 @@ class BatchComputeContext(BaseContext):
 
     # -- local state, columnar -------------------------------------------------
     @abc.abstractmethod
-    def read_states(self, tab_idx: int) -> List[Any]:
+    def read_states(self, tab_idx: int, keys: Any = None) -> List[Any]:
         """This batch's entries in state table *tab_idx*, aligned with
-        :attr:`keys` (``None`` where absent)."""
+        :attr:`keys` (``None`` where absent).  Pass *keys* (a subset of
+        the batch) to read only those, aligned with *keys*."""
 
     @abc.abstractmethod
-    def write_states(self, tab_idx: int, states: Any) -> None:
+    def write_states(self, tab_idx: int, states: Any, keys: Any = None) -> None:
         """Write all entries of table *tab_idx* for this batch: one
-        state per key, aligned with :attr:`keys`."""
+        state per key, aligned with :attr:`keys`.  Pass *keys* (a
+        subset of the batch) to write only those, aligned with *keys*."""
 
     @abc.abstractmethod
     def delete_states(self, tab_idx: int, keys: Any) -> None:

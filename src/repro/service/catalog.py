@@ -218,7 +218,7 @@ def _build_pagerank(store: KVStore, request: JobRequest) -> PreparedJob:
 
 def _build_sssp(store: KVStore, request: JobRequest) -> PreparedJob:
     from repro.apps.sssp.common import INFINITY
-    from repro.apps.sssp.incremental import seed_selective_table, selective_sssp_job
+    from repro.apps.sssp.wave import build_graph_table, read_distances, wave_sssp_job
     from repro.graph.generators import power_law_undirected_edges
 
     p = require_params(
@@ -226,37 +226,39 @@ def _build_sssp(store: KVStore, request: JobRequest) -> PreparedJob:
     )
     seed = p.get("seed", 0)
     source = p.get("source", 0)
-    if not (0 <= source < p["n_vertices"]):
+    n_vertices = p["n_vertices"]
+    if not (0 <= source < n_vertices):
         raise BadRequestError("source must be a vertex id in [0, n_vertices)")
-    adjacency: Dict[int, Set[int]] = {v: set() for v in range(p["n_vertices"])}
-    for a, b in power_law_undirected_edges(p["n_vertices"], p["n_edges"], seed):
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    # The selective job mutates dist / neighbor_dists in place, so every
-    # job seeds its own table: no run can see another's annotations.
-    table = _scratch_table(
-        store,
-        "svc_sssp_" + _input_key(
-            "sssp",
-            {"n_vertices": p["n_vertices"], "n_edges": p["n_edges"], "seed": seed},
-        ),
-        request,
+    table = "svc_sssp_" + _input_key(
+        "sssp", {"n_vertices": n_vertices, "n_edges": p["n_edges"], "seed": seed}
     )
-    seed_selective_table(store.get_table(table), adjacency)
-    cap = p.get("distance_cap", max(p["n_vertices"], 1))
+    if not store.has_table(table):
+        adjacency: Dict[int, Set[int]] = {v: set() for v in range(n_vertices)}
+        for a, b in power_law_undirected_edges(n_vertices, p["n_edges"], seed):
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        build_graph_table(store, table, adjacency)
+    # the graph is only read; distances go to a table of the job's own
+    dist_table = _scratch_table(
+        store, f"{table}_dist", request, n_parts=store.get_table(table).n_parts
+    )
+    cap = p.get("distance_cap", max(n_vertices, 1))
 
     def collect(store: KVStore, result: JobResult) -> Any:
-        distances = {
-            str(v): (None if state.dist >= INFINITY else int(state.dist))
-            for v, state in sorted(store.get_table(table).items())
+        distances = read_distances(store, dist_table, range(n_vertices))
+        store.drop_table(dist_table)
+        return {
+            "steps": result.steps,
+            "distances": {
+                str(v): (None if d >= INFINITY else d) for v, d in distances.items()
+            },
         }
-        store.drop_table(table)
-        return {"steps": result.steps, "distances": distances}
 
     return PreparedJob(
-        job=selective_sssp_job(table, source, cap, [source]),
+        job=wave_sssp_job(table, dist_table, source, cap),
         engine_kwargs={"synchronize": True, **dict(request.engine)},
-        scratch_tables=[table],
+        input_tables=[table],
+        scratch_tables=[dist_table],
         collect=collect,
     )
 

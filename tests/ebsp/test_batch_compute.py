@@ -340,3 +340,68 @@ class TestBatchSpillRoundtrip:
             assert sorted(seen) == list(range(10))
             assert all(seen[k] == [k * 0.5] for k in seen)
             assert conts == []  # 1 and 4 also got messages, so they group
+
+
+class SubsetCompute(Compute):
+    """Reads table 1 and writes table 0 for the odd keys only."""
+
+    def compute(self, ctx: ComputeContext) -> bool:
+        if ctx.key % 2:
+            ctx.write_state(0, (ctx.read_state(1) or 0) + ctx.key)
+        return False
+
+    def compute_batch(self, ctx: BatchComputeContext) -> Any:
+        keys = ctx.keys
+        odd = keys[keys % 2 == 1]
+        prev = ctx.read_states(1, keys=odd)
+        ctx.write_states(
+            0, [(p or 0) + k for p, k in zip(prev, odd.tolist())], keys=odd
+        )
+        return False
+
+
+class SubsetLoader(Loader):
+    def load(self, ctx) -> None:
+        for key in range(N):
+            if key % 3 == 0:
+                ctx.put_state(1, key, key * 10)
+            ctx.send_message(key, np.int64(1))
+
+
+class SubsetJob(Job):
+    def state_table_names(self) -> List[str]:
+        return ["subset_out", "subset_in"]
+
+    def get_compute(self) -> Compute:
+        return SubsetCompute()
+
+    def loaders(self) -> List[Loader]:
+        return [SubsetLoader()]
+
+
+class BadSubsetCompute(SubsetCompute):
+    def compute_batch(self, ctx: BatchComputeContext) -> Any:
+        ctx.write_states(0, [1, 2], keys=ctx.keys[:1])
+        return False
+
+
+class BadSubsetJob(SubsetJob):
+    def get_compute(self) -> Compute:
+        return BadSubsetCompute()
+
+
+class TestKeySubsets:
+    """``read_states`` / ``write_states`` restricted to part of a batch."""
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_subset_reads_and_writes_match_perkey(self, runtime):
+        expected = {k: k + (10 * k if k % 3 == 0 else 0) for k in range(1, N, 2)}
+        for batch_compute in (False, True):
+            with PartitionedKVStore(n_partitions=4, runtime=runtime) as store:
+                run_job(store, SubsetJob(), synchronize=True, batch_compute=batch_compute)
+                assert dict(store.get_table("subset_out").items()) == expected
+
+    def test_misaligned_subset_column_is_refused(self):
+        with PartitionedKVStore(n_partitions=2, runtime="inline") as store:
+            with pytest.raises(Exception, match="2 entries for 1 keys"):
+                run_job(store, BadSubsetJob(), synchronize=True, batch_compute=True)

@@ -4,6 +4,7 @@ scratch-table lifecycle, and what the result cache keeps valid."""
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -47,13 +48,16 @@ def _run_all(store, requests, **fd_kwargs):
     return records, access
 
 
+#: The graph inputs (``svc_<app>_<input digest>``), which no job writes.
+INPUT_TABLE = re.compile(r"svc_(pagerank|sssp)_[0-9a-f]{12}")
+
+
 def _job_tables(store):
     """Tables the service created that a job could write: anything but
-    the PageRank graph inputs."""
+    the PageRank and SSSP graph inputs."""
     return sorted(
         name for name in store.list_tables()
-        if name.startswith("svc_") and not name.startswith("svc_pagerank_")
-        or "_ranks_" in name
+        if name.startswith("svc_") and not INPUT_TABLE.fullmatch(name)
     )
 
 
@@ -83,7 +87,7 @@ class TestConcurrentRequestsOverOneInput:
 
     def test_sssp_sources(self, store):
         sources = (0, 17)
-        records, _ = _run_all(
+        records, access = _run_all(
             store,
             [JobRequest(app="sssp", tenant=f"t{i}", params={**SSSP, "source": s})
              for i, s in enumerate(sources)],
@@ -98,6 +102,11 @@ class TestConcurrentRequestsOverOneInput:
                 for v, d in reference_distances(adjacency, source).items()
             }
             assert record.payload["distances"] == expected
+        # one shared read-only graph; each job writes its own distances
+        (reads_a, writes_a), (reads_b, writes_b) = access
+        assert len(reads_a) == 1 and reads_a == reads_b
+        assert INPUT_TABLE.fullmatch(next(iter(reads_a)))
+        assert not writes_a & writes_b
         assert _job_tables(store) == []
 
     def test_kmeans_max_iterations(self, store):
@@ -195,7 +204,6 @@ class TestScratchLifecycle:
         local = LocalKVStore()
         request = JobRequest(app="sssp", params={**SSSP, "source": 2})
         prepared = default_catalog().prepare(local, request)
-        assert prepared.input_tables == []
         assert prepared.scratch_tables == [
             name for name in local.list_tables() if request.fingerprint()[:12] in name
         ]
@@ -203,7 +211,8 @@ class TestScratchLifecycle:
             handle = scheduler.submit(prepared.job, **prepared.engine_kwargs)
             assert handle.wait(60)
         prepared.collect(local, handle.result)
-        assert local.list_tables() == []
+        # only the graph input outlives the job
+        assert local.list_tables() == prepared.input_tables
         local.close()
 
 
@@ -218,9 +227,26 @@ class TestCacheValidity:
             assert again.cached
             assert again.payload == first.payload
 
+    def test_sssp_graph_is_seeded_once_and_versions_the_result(self, store):
+        with FrontDoor(store, runtime="threaded") as fd:
+            first = fd.submit(JobRequest(app="sssp", params={**SSSP, "source": 1}))
+            assert first.wait(60) and first.status is JobStatus.DONE
+            (graph_name,) = [n for n in store.list_tables() if INPUT_TABLE.fullmatch(n)]
+            graph = store.get_table(graph_name)
+            epoch = graph.mutation_epoch
+            other = fd.submit(JobRequest(app="sssp", params={**SSSP, "source": 9}))
+            assert other.wait(60) and other.status is JobStatus.DONE
+            assert graph.mutation_epoch == epoch  # no re-seed, no job write
+            again = fd.submit(JobRequest(app="sssp", params={**SSSP, "source": 1}))
+            assert again.cached and again.payload == first.payload
+            graph.put(0, graph.get(0))  # touch: epoch bump, same data
+            fresh = fd.submit(JobRequest(app="sssp", params={**SSSP, "source": 1}))
+            assert not fresh.cached
+            assert fresh.wait(60) and fresh.payload == first.payload
+
     def test_inputs_are_only_tables_no_job_writes(self, store):
-        """Only PageRank has an input table; the others' results are a
-        pure function of the request."""
+        """PageRank and SSSP read a graph input table; the others'
+        results are a pure function of the request."""
         catalog = default_catalog()
         requests = {
             "pagerank": PR,
@@ -233,7 +259,7 @@ class TestCacheValidity:
             assert isinstance(prepared, PreparedJob)
             writes = set(prepared.job.state_table_names()) - set(prepared.input_tables)
             assert set(prepared.scratch_tables) == writes
-            if app == "pagerank":
+            if app in ("pagerank", "sssp"):
                 assert prepared.input_tables == [prepared.job.reference_table()]
             else:
                 assert prepared.input_tables == []
