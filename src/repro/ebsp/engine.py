@@ -64,16 +64,27 @@ from repro.ebsp.transport import (
     CONT,
     CREATE,
     MSG,
+    NO_MESSAGE,
     MessageBatch,
     SpillWriter,
     collect_step_columns,
     collect_step_records,
     create_transport_table,
     group_step_columns,
+    scan_step_records_no_collect,
 )
 from repro.kvstore.api import FnPairConsumer, KVStore, PartConsumer, Table, TableSpec
 
 _job_ids = itertools.count()
+
+#: Transport pipeline: sealed spills per dispatched batch, and the
+#: bound on dispatched-but-unjoined batches per writer.
+SPILL_COALESCE = 4
+SPILL_WINDOW = 8
+
+#: Components per ``compute_batch`` call; a part's groups are sliced
+#: into chunks of this size.
+COMPUTE_BATCH_SIZE = 65536
 
 
 class _SimpleBaseContext(BaseContext):
@@ -140,9 +151,8 @@ class _StepContext(ComputeContext):
     :meth:`commit_state`.
     """
 
-    def __init__(self, engine: "SyncEngine", part: int, step: int, writer: SpillWriter):
+    def __init__(self, engine: "SyncEngine", step: int, writer: SpillWriter):
         self._engine = engine
-        self._part = part
         self._step_num = step
         self._writer = writer
         self._key: Any = None
@@ -150,7 +160,6 @@ class _StepContext(ComputeContext):
         # per-invocation state buffer: tab_idx -> value ("absent" sentinel = delete)
         self._state_buffer: Dict[int, Any] = {}
         self._dirty: set = set()
-        self.continue_signal = False
         # part-step write-back cache: (tab_idx, key) -> value/_ABSENT;
         # holds both read-through results and staged writes
         self._cache: Dict[Tuple[int, Any], Any] = {}
@@ -170,7 +179,6 @@ class _StepContext(ComputeContext):
         self._messages = messages
         self._state_buffer = {}
         self._dirty = set()
-        self.continue_signal = False
         self.invocations += 1
 
     def _finish_invocation(self) -> None:
@@ -545,20 +553,12 @@ class _StepConsumer(PartConsumer):
                 for part, count in per_part.items():
                     dest[part] = dest.get(part, 0) + count
             for name, value in side.counters.items():
-                if name.startswith("codec_sample_"):
-                    continue
                 out.counters[name] = out.counters.get(name, 0) + value
             for name, value in side.maxima.items():
                 out.maxima[name] = max(out.maxima.get(name, 0), value)
             out.outputs.extend(side.outputs)
             out.injected += side.injected
             out.part_seconds.update(side.part_seconds)
-        # the codec byte sample is a one-shot *pair*, not a sum: carry
-        # one side's paired sample through the merge
-        sampled = a if a.counters.get("codec_sample_compact_bytes") else b
-        for name in ("codec_sample_raw_bytes", "codec_sample_compact_bytes"):
-            if sampled.counters.get(name):
-                out.counters[name] = sampled.counters[name]
         return out
 
 
@@ -590,6 +590,188 @@ class _DiscardSpillsConsumer(PartConsumer):
         return a + b
 
 
+def _grouped_creations(
+    creates: List[Tuple[Any, int, Any]]
+) -> List[Tuple[Any, List[Tuple[int, Any]]]]:
+    """``(dest_key, tab_idx, state)`` triples grouped per destination,
+    in first-appearance order."""
+    merged: Dict[Any, List[Tuple[int, Any]]] = {}
+    for dest_key, tab_idx, state in creates:
+        merged.setdefault(dest_key, []).append((tab_idx, state))
+    return list(merged.items())
+
+
+def _invoke_each(engine, ctx, writer, part, step, invocations: Iterator[tuple]) -> None:
+    """One ``compute`` per ``(key, messages)``; a positive signal
+    becomes a continue record (refused when the job declared
+    no-continue)."""
+    no_continue = engine._plan.properties.no_continue
+    compute = engine._compute
+    injector = engine._failure_injector
+    for key, messages in invocations:
+        ctx._bind(key, messages)
+        if injector is not None:
+            injector.check(part, step)
+        try:
+            cont = bool(compute.compute(ctx))
+        except SimulatedFailure:
+            raise
+        except Exception as exc:  # surface with key/step context
+            raise ComputeError(key, step, exc) from exc
+        ctx._finish_invocation()
+        if cont:
+            if no_continue:
+                raise PropertyViolationError(
+                    f"job declares no-continue but component {key!r} "
+                    f"returned the positive signal in step {step}"
+                )
+            writer.add((CONT, key))
+
+
+class _PerKeyShape:
+    """Per-key part-step: a value list per destination, one ``compute``
+    per enabled component, in key order unless the job declared no-sort."""
+
+    #: consumed spills may be deleted before compute when nothing can retry
+    early_delete = True
+
+    @staticmethod
+    def collect(engine: "SyncEngine", view: Any, step: int) -> tuple:
+        bundles, consumed = collect_step_records(view, step, engine._combiner_for(step))
+        creations = [(key, b.created) for key, b in bundles.items() if b.created]
+        return bundles, creations, consumed
+
+    @staticmethod
+    def drive(engine, ctx, writer, part, step, bundles: Dict[Any, Any]) -> None:
+        enabled = [key for key, b in bundles.items() if b.enabled]
+        if not engine._plan.no_sort:
+            enabled.sort()
+        one_msg = engine._plan.properties.one_msg
+
+        def invocations() -> Iterator[Tuple[Any, List[Any]]]:
+            for key in enabled:
+                # pop: the bundle's messages are garbage as soon as this
+                # invocation finishes, which halves the step's peak
+                # footprint (incoming bundles shrink while outgoing
+                # spills grow)
+                bundle = bundles.pop(key)
+                if one_msg and len(bundle.messages) > 1:
+                    raise PropertyViolationError(
+                        f"job declares one-msg but component {key!r} received "
+                        f"{len(bundle.messages)} messages in step {step}"
+                    )
+                yield key, bundle.messages
+
+        _invoke_each(engine, ctx, writer, part, step, invocations())
+
+
+class _ColumnarShape:
+    """The columnar part-step: spills stay columns end to end, grouped
+    by one vectorized argsort, and ``compute_batch`` runs over column
+    slices.  Collect returns ``None`` when the keys are not mutually
+    orderable; the part-step then falls back to the per-key shape."""
+
+    early_delete = True
+
+    @staticmethod
+    def collect(engine: "SyncEngine", view: Any, step: int) -> Optional[tuple]:
+        cols = collect_step_columns(view, step)
+        try:
+            grouped = group_step_columns(cols)
+        except TypeError:
+            return None
+        return grouped, _grouped_creations(cols.creates), cols.consumed
+
+    @staticmethod
+    def drive(engine, ctx, writer, part, step, grouped: Tuple[Any, MessageBatch]) -> None:
+        group_keys, batch = grouped
+        bctx = _BatchStepContext(ctx, writer)
+        no_continue = engine._plan.properties.no_continue
+        n = len(group_keys)
+        if engine._plan.properties.one_msg and n:
+            over = np.flatnonzero(batch.counts > 1)
+            if len(over):
+                offender = group_keys[over[0]]
+                raise PropertyViolationError(
+                    f"job declares one-msg but component {offender!r} received "
+                    f"{int(batch.counts[over[0]])} messages in step {step}"
+                )
+        compute = engine._compute
+        injector = engine._failure_injector
+        for lo in range(0, n, COMPUTE_BATCH_SIZE):
+            hi = min(lo + COMPUTE_BATCH_SIZE, n)
+            key_slice = group_keys[lo:hi]
+            bctx._bind_batch(key_slice, batch.slice(lo, hi))
+            if injector is not None:
+                injector.check(part, step)
+            try:
+                cont = compute.compute_batch(bctx)
+            except SimulatedFailure:
+                raise
+            except Exception as exc:  # surface with batch/step context
+                raise ComputeError(f"batch[{lo}:{hi}] of part {part}", step, exc) from exc
+            if cont is None or isinstance(cont, (bool, np.bool_)):
+                all_continue = bool(cont)
+                mask = None
+            else:
+                mask = np.asarray(cont, dtype=bool)
+                if len(mask) != hi - lo:
+                    raise ComputeError(
+                        f"batch[{lo}:{hi}] of part {part}",
+                        step,
+                        ValueError(
+                            f"compute_batch returned {len(mask)} continue "
+                            f"signals for {hi - lo} components"
+                        ),
+                    )
+                all_continue = False
+            if all_continue or (mask is not None and mask.any()):
+                if no_continue:
+                    raise PropertyViolationError(
+                        f"job declares no-continue but a batch returned "
+                        f"positive signals in step {step}"
+                    )
+                writer.add_continue_batch(
+                    key_slice if all_continue else key_slice[mask]
+                )
+
+
+class _NoCollectShape:
+    """The no-collect part-step (§II-A, one-msg ∧ no-continue): no value
+    lists; each record drives one compute directly, sorted by key only
+    when the job asks for ordering.  Consumed spills are deleted at the
+    commit point."""
+
+    early_delete = False
+
+    @staticmethod
+    def collect(engine: "SyncEngine", view: Any, step: int) -> tuple:
+        deliveries, creates, consumed = scan_step_records_no_collect(view, step)
+        return deliveries, _grouped_creations(creates), consumed
+
+    @staticmethod
+    def drive(engine, ctx, writer, part, step, deliveries: List[Tuple[Any, Any]]) -> None:
+        seen: set = set()
+        for dest_key, payload in deliveries:
+            if payload is not NO_MESSAGE:
+                if dest_key in seen:
+                    raise PropertyViolationError(
+                        f"job declares one-msg but component {dest_key!r} received "
+                        f"multiple messages in step {step}"
+                    )
+                seen.add(dest_key)
+        # a bare enable is redundant for a component that also got a message
+        deliveries = [
+            d for d in deliveries if not (d[1] is NO_MESSAGE and d[0] in seen)
+        ]
+        if not engine._plan.no_sort:
+            deliveries.sort(key=lambda pair: pair[0])
+        _invoke_each(
+            engine, ctx, writer, part, step,
+            ((key, [] if m is NO_MESSAGE else [m]) for key, m in deliveries),
+        )
+
+
 class SyncEngine:
     """Executes one job, synchronously, over a given store."""
 
@@ -599,11 +781,6 @@ class SyncEngine:
         job: Job,
         *,
         spill_batch: int = 512,
-        spill_window: int = 8,
-        spill_coalesce: int = 4,
-        pipelined_transport: bool = True,
-        active_scheduling: bool = True,
-        compact_spills: bool = True,
         max_steps: Optional[int] = None,
         aggregator_table_threshold: int = 8,
         fault_tolerance: bool = False,
@@ -612,7 +789,6 @@ class SyncEngine:
         trace: Any = None,
         ship_compute: Optional[bool] = None,
         batch_compute: Optional[bool] = None,
-        compute_batch_size: int = 65536,
         checkpoint_interval: int = 0,
         checkpoint_dir: Optional[str] = None,
         job_key: Optional[str] = None,
@@ -646,13 +822,14 @@ class SyncEngine:
         self._batch_compute = (
             supports_batch and batch_compute is not False and not self._plan.no_collect
         )
-        self._compute_batch_size = max(1, compute_batch_size)
+        # the part-step shape: which collect and drive halves run
+        if self._plan.no_collect:
+            self._shape = _NoCollectShape
+        elif self._batch_compute:
+            self._shape = _ColumnarShape
+        else:
+            self._shape = _PerKeyShape
         self._spill_batch = spill_batch
-        self._spill_window = spill_window
-        self._spill_coalesce = spill_coalesce
-        self._pipelined_transport = pipelined_transport
-        self._active_scheduling = active_scheduling
-        self._compact_spills = compact_spills
         self._max_steps = max_steps
         self._agg_table_threshold = aggregator_table_threshold
         if failure_injector is not None and not fault_tolerance:
@@ -759,7 +936,6 @@ class SyncEngine:
         self._spilled_per_step: Dict[int, Dict[int, int]] = {}
         # key -> part memo for the engine-side routing lookup
         self._part_cache: Dict[Any, int] = {}
-        self._codec_sampled = False
         self._timeline: list = []
         # -- compute shipping (process runtimes) --------------------------
         # True in a copy of this engine that was unpickled inside a
@@ -1002,10 +1178,9 @@ class SyncEngine:
             hold=hold,
             on_spill=lambda part, n: self._record_spill(write_step, part, n),
             combiner=self._combiner_for(combine_step),
-            pipelined=self._pipelined_transport,
-            max_in_flight=self._spill_window,
-            spills_per_batch=self._spill_coalesce,
-            compact=self._compact_spills,
+            max_in_flight=SPILL_WINDOW,
+            spills_per_batch=SPILL_COALESCE,
+            compact=True,
             tracer=self._tracer,
             part_of_many=self._part_of_many,
             vector_combiner=self._batch_combiner_for(combine_step),
@@ -1021,16 +1196,6 @@ class SyncEngine:
         if writer.batches_dispatched:
             self._counters.add("transport_batches", writer.batches_dispatched)
         self._counters.record_max("spill_in_flight_hwm", writer.in_flight_hwm)
-        if writer.codec_sample_compact_bytes:
-            # one paired sample per job is enough for the A/B byte delta
-            with self._spill_lock:
-                if self._codec_sampled:
-                    return
-                self._codec_sampled = True
-            self._counters.add("codec_sample_raw_bytes", writer.codec_sample_raw_bytes)
-            self._counters.add(
-                "codec_sample_compact_bytes", writer.codec_sample_compact_bytes
-            )
 
     def _capture_store_stats(self) -> None:
         """Record this run's store serde/batching deltas as counters."""
@@ -1282,16 +1447,12 @@ class SyncEngine:
 
     def _run_step(self, step: int) -> "_PartStepResult":
         started = time.monotonic()
-        if self._active_scheduling:
-            # dispatch part-step tasks only where the spill path recorded
-            # pending records — superstep cost scales with the frontier,
-            # not with n_parts (§II-A selective enablement, part-level)
-            active: Optional[List[int]] = self._active_parts(step)
-            active_set = set(active)
-            skipped = [p for p in range(self._n_physical) if p not in active_set]
-        else:
-            active = None
-            skipped = []
+        # dispatch part-step tasks only where the spill path recorded
+        # pending records — superstep cost scales with the frontier, not
+        # with n_parts (§II-A selective enablement, part-level)
+        active = self._active_parts(step)
+        active_set = set(active)
+        skipped = [p for p in range(self._n_physical) if p not in active_set]
         if skipped and self._progress is not None:
             # a skipped part has no inputs — record it as trivially
             # complete so recovery never re-drives it for this step
@@ -1325,7 +1486,7 @@ class SyncEngine:
             duration_seconds=time.monotonic() - started,
             invocations=result.invocations,
             records_out=result.records_out,
-            parts_run=len(active) if active is not None else self._n_physical,
+            parts_run=len(active),
             parts_skipped=len(skipped),
             compute_seconds=result.compute_seconds,
             flush_seconds=result.flush_seconds,
@@ -1343,15 +1504,13 @@ class SyncEngine:
         self,
         result: "_PartStepResult",
         step: int,
-        active: Optional[List[int]],
+        active: List[int],
         skipped: List[int],
     ) -> None:
         """Post-barrier bookkeeping: counters, aggregation, spill ledger."""
         self._fold_shipped(result)
         self._counters.add("compute_invocations", result.invocations)
-        self._counters.add(
-            "part_steps_run", len(active) if active is not None else self._n_physical
-        )
+        self._counters.add("part_steps_run", len(active))
         if skipped:
             self._counters.add("parts_skipped", len(skipped))
             # a skipped part would have contributed the identity partial;
@@ -1364,9 +1523,7 @@ class SyncEngine:
         self._finish_aggregation(result.agg_partials, step)
         if self._ft_real:
             # retained part-step results have been folded; drop them
-            self._progress.clear_partials(
-                active if active is not None else list(range(self._n_physical)), step
-            )
+            self._progress.clear_partials(active, step)
         with self._spill_lock:
             self._spilled_per_step.pop(step, None)
 
@@ -1383,17 +1540,7 @@ class SyncEngine:
                     for part, count in per_part.items():
                         dest[part] = dest.get(part, 0) + count
         for name, value in result.counters.items():
-            if name.startswith("codec_sample_"):
-                continue
             self._counters.add(name, value)
-        raw = result.counters.get("codec_sample_raw_bytes", 0)
-        if raw and not self._codec_sampled:
-            self._codec_sampled = True
-            self._counters.add("codec_sample_raw_bytes", raw)
-            self._counters.add(
-                "codec_sample_compact_bytes",
-                result.counters.get("codec_sample_compact_bytes", 0),
-            )
         for name, value in result.maxima.items():
             self._counters.record_max(name, value)
         if result.outputs and self._direct_exporter is not None:
@@ -1403,7 +1550,7 @@ class SyncEngine:
             self._failure_injector.failures_injected += result.injected
 
     # -- real-crash part-step recovery ---------------------------------------
-    def _enumerate_parts_ft(self, step: int, active: Optional[List[int]]) -> "_PartStepResult":
+    def _enumerate_parts_ft(self, step: int, active: List[int]) -> "_PartStepResult":
         """One step's part-steps as individually re-drivable futures.
 
         The crash-tolerant analogue of ``transport.enumerate_parts``:
@@ -1422,8 +1569,7 @@ class SyncEngine:
         from repro.runtime.retry import WorkerLostError
 
         consumer = _StepConsumer(self, step)
-        parts = active if active is not None else list(range(self._n_physical))
-        pending = self._transport.submit_part_steps(consumer, parts=parts)
+        pending = self._transport.submit_part_steps(consumer, parts=active)
         results: Dict[int, _PartStepResult] = {}
         attempts: Dict[int, int] = {}
         while pending:
@@ -1563,195 +1709,58 @@ class SyncEngine:
         return result
 
     def _attempt_part_step(self, part: int, view: Any, step: int) -> _PartStepResult:
-        if self._plan.no_collect:
-            return self._attempt_part_step_no_collect(part, view, step)
+        """One attempt at one part's slice of one step.
+
+        The plan's shape (a stateless class, so the engine holds it
+        without a cycle) supplies the two halves that differ: ``collect``
+        returns ``(work, creations, consumed)`` and ``drive`` runs the
+        computes over *work*.  The span, writer and context, created-state
+        staging, commit point, and result are shared by all shapes.
+        """
         tracer = self._tracer
+        shape = self._shape
         t_start = time.perf_counter()
         # Lane resolves from the executing runtime thread (worker-<i>).
         with tracer.span("part-step", cat="engine", part=part, step=step):
-            if self._batch_compute:
-                return self._part_step_body_batch(part, view, step, t_start)
-            return self._part_step_body(part, view, step, t_start)
+            with tracer.span("collect", cat="engine", part=part, step=step):
+                collected = shape.collect(self, view, step)
+            if collected is None:
+                # columnar keys not mutually orderable — nothing was
+                # deleted or written yet, so the per-key shape re-drives
+                # the spills
+                self._counters.add("batch_fallbacks")
+                shape = _PerKeyShape
+                with tracer.span("collect", cat="engine", part=part, step=step):
+                    collected = shape.collect(self, view, step)
+            work, creations, consumed = collected
+            if shape.early_delete and not self._fault_tolerance:
+                # no retry possible ⇒ no need to retain the input spills;
+                # dropping them now frees the raw records before the
+                # computes allocate this step's outgoing messages
+                for transport_key in consumed:
+                    view.delete(transport_key)
+                consumed = []
 
-    def _part_step_body_batch(
-        self, part: int, view: Any, step: int, t_start: float
-    ) -> _PartStepResult:
-        """The columnar part-step: spills stay columns end to end.
-
-        Collect lifts each spill's key/payload arrays as chunks, one
-        vectorized argsort groups them by destination, and the job's
-        ``compute_batch`` is invoked over column slices instead of once
-        per component.  Staged state and the commit point are shared
-        with the per-key path (same write-back cache, same
-        ``put_many``-per-table commit), so fault tolerance, shipping,
-        and counters behave identically.
-        """
-        tracer = self._tracer
-        fallback = False
-        with tracer.span("collect", cat="engine", part=part, step=step):
-            cols = collect_step_columns(view, step)
-            try:
-                group_keys, batch = group_step_columns(cols)
-            except TypeError:
-                # keys not mutually orderable — nothing was deleted or
-                # written yet, so the per-key path re-drives the spills
-                fallback = True
-        if fallback:
-            self._counters.add("batch_fallbacks")
-            return self._part_step_body(part, view, step, t_start)
-
-        consumed = cols.consumed
-        if not self._fault_tolerance:
-            for transport_key in consumed:
-                view.delete(transport_key)
-            consumed = []
-
-        writer = self._make_writer(part, step + 1, step, hold=self._fault_tolerance)
-        ctx = _StepContext(self, part, step, writer)
-        bctx = _BatchStepContext(ctx, writer)
-
-        if cols.creates:
+            writer = self._make_writer(part, step + 1, step, hold=self._fault_tolerance)
+            ctx = _StepContext(self, step, writer)
+            # stage created-state requests (they do not enable by
+            # themselves); like all state writes they commit in batch at
+            # the commit point
             base_ctx = _SimpleBaseContext(step)
-            merged: Dict[Any, List[Tuple[int, Any]]] = {}
-            for dest_key, tab_idx, state in cols.creates:
-                merged.setdefault(dest_key, []).append((tab_idx, state))
-            for dest_key, created in merged.items():
+            for dest_key, created in creations:
                 for tab_idx, state in self._merge_creations(base_ctx, dest_key, created):
                     ctx._stage(tab_idx, dest_key, state)
-
-        one_msg = self._plan.properties.one_msg
-        no_continue = self._plan.properties.no_continue
-        n = len(group_keys)
-        if one_msg and n:
-            over = np.flatnonzero(batch.counts > 1)
-            if len(over):
-                offender = group_keys[over[0]]
-                raise PropertyViolationError(
-                    f"job declares one-msg but component {offender!r} received "
-                    f"{int(batch.counts[over[0]])} messages in step {step}"
-                )
-
-        chunk = self._compute_batch_size
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            key_slice = group_keys[lo:hi]
-            bctx._bind_batch(key_slice, batch.slice(lo, hi))
-            if self._failure_injector is not None:
-                self._failure_injector.check(part, step)
             try:
-                cont = self._compute.compute_batch(bctx)
+                shape.drive(self, ctx, writer, part, step, work)
             except SimulatedFailure:
                 writer.discard()
                 raise
-            except Exception as exc:  # surface with batch/step context
-                raise ComputeError(f"batch[{lo}:{hi}] of part {part}", step, exc) from exc
-            if cont is None or isinstance(cont, (bool, np.bool_)):
-                all_continue = bool(cont)
-                mask = None
-            else:
-                mask = np.asarray(cont, dtype=bool)
-                if len(mask) != hi - lo:
-                    raise ComputeError(
-                        f"batch[{lo}:{hi}] of part {part}",
-                        step,
-                        ValueError(
-                            f"compute_batch returned {len(mask)} continue "
-                            f"signals for {hi - lo} components"
-                        ),
-                    )
-                all_continue = False
-            if all_continue or (mask is not None and mask.any()):
-                if no_continue:
-                    raise PropertyViolationError(
-                        f"job declares no-continue but a batch returned "
-                        f"positive signals in step {step}"
-                    )
-                writer.add_continue_batch(
-                    key_slice if all_continue else key_slice[mask]
-                )
 
-        # ---- commit point (shared with the per-key path) ----
-        t_commit = time.perf_counter()
-        with tracer.span("commit", cat="engine", part=part, step=step):
-            self._commit_part_step(ctx, writer, view, consumed, part, step)
-        t_done = time.perf_counter()
-        result = _PartStepResult(
-            ctx.agg_partials,
-            ctx.invocations,
-            writer.records_written,
-            compute_seconds=t_commit - t_start,
-            flush_seconds=t_done - t_commit,
-            finished_sum=t_done,
-            n_timed=1,
-        )
-        result.part_seconds = {part: t_done - t_start}
-        if self._is_shipped:
-            result.outputs = ctx.direct_outputs
-        return result
-
-    def _part_step_body(self, part: int, view: Any, step: int, t_start: float) -> _PartStepResult:
-        tracer = self._tracer
-        combiner = self._combiner_for(step)
-        with tracer.span("collect", cat="engine", part=part, step=step):
-            bundles, consumed = collect_step_records(view, step, combiner)
-        if not self._fault_tolerance:
-            # no retry possible ⇒ no need to retain the input spills;
-            # dropping them now frees the raw record lists before the
-            # computes allocate this step's outgoing messages
-            for transport_key in consumed:
-                view.delete(transport_key)
-            consumed = []
-
-        writer = self._make_writer(part, step + 1, step, hold=self._fault_tolerance)
-        ctx = _StepContext(self, part, step, writer)
-
-        # stage created-state requests (they do not enable by themselves);
-        # like all state writes they commit in batch at the commit point
-        base_ctx = _SimpleBaseContext(step)
-        for dest_key, bundle in bundles.items():
-            for tab_idx, state in self._merge_creations(base_ctx, dest_key, bundle.created):
-                ctx._stage(tab_idx, dest_key, state)
-
-        enabled = [key for key, b in bundles.items() if b.enabled]
-        if not self._plan.no_sort:
-            enabled.sort()
-
-        no_continue = self._plan.properties.no_continue
-        one_msg = self._plan.properties.one_msg
-        for key in enabled:
-            # pop: the bundle's messages are garbage as soon as this
-            # invocation finishes, which halves the step's peak footprint
-            # (incoming bundles shrink while outgoing spills grow)
-            bundle = bundles.pop(key)
-            if one_msg and len(bundle.messages) > 1:
-                raise PropertyViolationError(
-                    f"job declares one-msg but component {key!r} received "
-                    f"{len(bundle.messages)} messages in step {step}"
-                )
-            ctx._bind(key, bundle.messages)
-            if self._failure_injector is not None:
-                self._failure_injector.check(part, step)
-            try:
-                cont = bool(self._compute.compute(ctx))
-            except SimulatedFailure:
-                writer.discard()
-                raise
-            except Exception as exc:  # surface with key/step context
-                raise ComputeError(key, step, exc) from exc
-            ctx._finish_invocation()
-            if cont:
-                if no_continue:
-                    raise PropertyViolationError(
-                        f"job declares no-continue but component {key!r} "
-                        f"returned the positive signal in step {step}"
-                    )
-                writer.add((CONT, key))
-
-        # ---- commit point ----
-        t_commit = time.perf_counter()
-        with tracer.span("commit", cat="engine", part=part, step=step):
-            self._commit_part_step(ctx, writer, view, consumed, part, step)
-        t_done = time.perf_counter()
+            # ---- commit point ----
+            t_commit = time.perf_counter()
+            with tracer.span("commit", cat="engine", part=part, step=step):
+                self._commit_part_step(ctx, writer, view, consumed, part, step)
+            t_done = time.perf_counter()
         result = _PartStepResult(
             ctx.agg_partials,
             ctx.invocations,
@@ -1823,89 +1832,6 @@ class SyncEngine:
                     },
                 )
             self._progress.mark_completed(part, step)
-
-    def _attempt_part_step_no_collect(self, part: int, view: Any, step: int) -> _PartStepResult:
-        """The no-collect execution path (§II-A, one-msg ∧ no-continue).
-
-        No value lists are constructed; each record drives one compute
-        invocation directly, sorted by key only when the job asks for
-        ordering.
-        """
-        from repro.ebsp.transport import NO_MESSAGE, scan_step_records_no_collect
-
-        tracer = self._tracer
-        t_start = time.perf_counter()
-        with tracer.span("part-step", cat="engine", part=part, step=step):
-            return self._part_step_body_no_collect(part, view, step, t_start)
-
-    def _part_step_body_no_collect(
-        self, part: int, view: Any, step: int, t_start: float
-    ) -> _PartStepResult:
-        from repro.ebsp.transport import NO_MESSAGE, scan_step_records_no_collect
-
-        tracer = self._tracer
-        with tracer.span("collect", cat="engine", part=part, step=step):
-            deliveries, creations, consumed = scan_step_records_no_collect(view, step)
-        writer = self._make_writer(part, step + 1, step, hold=self._fault_tolerance)
-        ctx = _StepContext(self, part, step, writer)
-        base_ctx = _SimpleBaseContext(step)
-        merged: Dict[Any, List[Tuple[int, Any]]] = {}
-        for dest_key, tab_idx, state in creations:
-            merged.setdefault(dest_key, []).append((tab_idx, state))
-        for dest_key, created in merged.items():
-            for tab_idx, state in self._merge_creations(base_ctx, dest_key, created):
-                ctx._stage(tab_idx, dest_key, state)
-
-        seen: set = set()
-        for dest_key, payload in deliveries:
-            if payload is not NO_MESSAGE:
-                if dest_key in seen:
-                    raise PropertyViolationError(
-                        f"job declares one-msg but component {dest_key!r} received "
-                        f"multiple messages in step {step}"
-                    )
-                seen.add(dest_key)
-        # a bare enable is redundant for a component that also got a message
-        deliveries = [
-            d for d in deliveries if not (d[1] is NO_MESSAGE and d[0] in seen)
-        ]
-        if not self._plan.no_sort:
-            deliveries.sort(key=lambda pair: pair[0])
-        for dest_key, message in deliveries:
-            ctx._bind(dest_key, [] if message is NO_MESSAGE else [message])
-            if self._failure_injector is not None:
-                self._failure_injector.check(part, step)
-            try:
-                cont = bool(self._compute.compute(ctx))
-            except SimulatedFailure:
-                writer.discard()
-                raise
-            except Exception as exc:
-                raise ComputeError(dest_key, step, exc) from exc
-            ctx._finish_invocation()
-            if cont:
-                raise PropertyViolationError(
-                    f"job declares no-continue but component {dest_key!r} "
-                    f"returned the positive signal in step {step}"
-                )
-
-        t_commit = time.perf_counter()
-        with tracer.span("commit", cat="engine", part=part, step=step):
-            self._commit_part_step(ctx, writer, view, consumed, part, step)
-        t_done = time.perf_counter()
-        result = _PartStepResult(
-            ctx.agg_partials,
-            ctx.invocations,
-            writer.records_written,
-            compute_seconds=t_commit - t_start,
-            flush_seconds=t_done - t_commit,
-            finished_sum=t_done,
-            n_timed=1,
-        )
-        result.part_seconds = {part: t_done - t_start}
-        if self._is_shipped:
-            result.outputs = ctx.direct_outputs
-        return result
 
     def _merge_creations(
         self, ctx: BaseContext, key: Any, created: List[Tuple[int, Any]]

@@ -35,11 +35,10 @@ detected from the job object.
 
 One engine optimization needs *no* property gate: active-part
 scheduling (skipping the part-step task for parts with no pending
-records).  A part with zero spills produces zero bundles, so the
-baseline would invoke nothing there and contribute only identity
-aggregator partials — skipping it is observationally equivalent for
-every job, which is why it is an engine flag (``active_scheduling``)
-rather than a derived optimization here.
+records).  A part with zero spills produces zero bundles, so running
+it would invoke nothing and contribute only identity aggregator
+partials — skipping it is observationally equivalent for every job,
+which is why the engine always does it rather than deriving it here.
 """
 
 from __future__ import annotations

@@ -208,14 +208,6 @@ class JobResult:
         """Batched state-table commits issued at part-step commit points."""
         return self.counters.get("state_writeback_batches", 0)
 
-    @property
-    def codec_sample_savings(self) -> int:
-        """Byte delta (raw − compact) of the job's paired spill-codec
-        sample; 0 when the compact codec never sealed a spill."""
-        raw = self.counters.get("codec_sample_raw_bytes", 0)
-        compact = self.counters.get("codec_sample_compact_bytes", 0)
-        return raw - compact if raw else 0
-
     # -- crash tolerance (paper §IV-A, real failures) -----------------------
     @property
     def worker_respawns(self) -> int:
@@ -333,8 +325,6 @@ _RECORDED_COUNTERS = (
     "spills_written",
     "transport_batches",
     "messages_sent",
-    "codec_sample_raw_bytes",
-    "codec_sample_compact_bytes",
     "store_marshalled_bytes",
     "part_step_retries",
     "worker_respawns",

@@ -30,9 +30,9 @@ transport inside a part-step and still owns a durable commit point.
 
 A sealed spill can be marshalled in one of two codecs:
 
-- the *record-list* codec: the buffered record tuples, pickled as-is
-  (the original format, kept for A/B comparison);
-- the *compact* codec (``compact=True``): a struct-of-arrays encoding
+- the *record-list* codec: the buffered record tuples, pickled as-is;
+- the *compact* codec (``compact=True``, the one the engine writes): a
+  struct-of-arrays encoding
   — message keys, message payloads, continue keys, and created-state
   triples in four flat lists — which drops the per-record tuple and
   kind-tag overhead from the pickle stream.  Message order per
@@ -40,14 +40,11 @@ A sealed spill can be marshalled in one of two codecs:
   each other), which is all the delivery contract requires; continue
   and creation records carry no ordering semantics.
 
-Readers accept both formats via :func:`iter_spill_records`, so a
-transport table may hold a mix (e.g. when a loader and the engine are
-configured differently).
+Readers accept both formats via :func:`iter_spill_records`.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 from collections import deque
 from concurrent.futures import Future
@@ -184,14 +181,14 @@ class SpillWriter:
     buffered per destination part; a buffer reaching *batch_size* is
     *sealed* into a spill — a unique transport key plus its record list.
 
-    With ``pipelined=True`` (the default) sealed spills are not written
-    with blocking puts.  They accumulate into per-destination batches of
-    up to *spills_per_batch*, and each batch is dispatched with one
-    asynchronous, once-marshalled request (``put_many_async``) while the
-    producing computation keeps running.  At most *max_in_flight*
-    dispatches may be outstanding — the bounded window that keeps memory
-    and queue depth in check — and :meth:`flush_all` is the gather point
-    that seals, dispatches, and joins everything.
+    Sealed spills are not written with blocking puts.  They accumulate
+    into per-destination batches of up to *spills_per_batch*, and each
+    batch is dispatched with one asynchronous, once-marshalled request
+    (``put_many_async``) while the producing computation keeps running.
+    At most *max_in_flight* dispatches may be outstanding — the bounded
+    window that keeps memory and queue depth in check — and
+    :meth:`flush_all` is the gather point that seals, dispatches, and
+    joins everything.
 
     When *hold* is set (fault-tolerant execution), nothing reaches the
     transport table until :meth:`flush_all` — the part-step's commit
@@ -217,7 +214,6 @@ class SpillWriter:
         hold: bool = False,
         on_spill: Optional[Callable[[int, int], None]] = None,
         combiner: Optional[Callable[[Any, Any], Any]] = None,
-        pipelined: bool = True,
         max_in_flight: int = 8,
         spills_per_batch: int = 1,
         compact: bool = False,
@@ -239,7 +235,6 @@ class SpillWriter:
         self._hold = hold
         self._on_spill = on_spill
         self._combiner = combiner
-        self._pipelined = pipelined
         self._max_in_flight = max(1, max_in_flight)
         self._spills_per_batch = max(1, spills_per_batch)
         self._compact = compact
@@ -269,10 +264,6 @@ class SpillWriter:
         self.spills_sealed = 0
         self.batches_dispatched = 0
         self.in_flight_hwm = 0
-        # one-shot codec A/B sample: the first sealed spill of a compact
-        # writer is pickled in both codecs to measure the byte delta
-        self.codec_sample_raw_bytes = 0
-        self.codec_sample_compact_bytes = 0
 
     def add(self, record: tuple) -> None:
         dest_key = record[1]
@@ -305,10 +296,7 @@ class SpillWriter:
         if not self._hold and len(buffer) >= self._batch_size:
             with self._lock:
                 self._seal(dest_part)
-                if self._pipelined:
-                    if len(self._ready.get(dest_part, ())) >= self._spills_per_batch:
-                        self._dispatch(dest_part)
-                else:
+                if len(self._ready.get(dest_part, ())) >= self._spills_per_batch:
                     self._dispatch(dest_part)
 
     # -- columnar (batch data plane) ------------------------------------
@@ -391,10 +379,7 @@ class SpillWriter:
         if not self._hold and count >= self._batch_size:
             with self._lock:
                 self._seal_columns(dest_part)
-                if self._pipelined:
-                    if len(self._ready.get(dest_part, ())) >= self._spills_per_batch:
-                        self._dispatch(dest_part)
-                else:
+                if len(self._ready.get(dest_part, ())) >= self._spills_per_batch:
                     self._dispatch(dest_part)
 
     def _seal_columns(self, dest_part: int) -> None:
@@ -452,17 +437,7 @@ class SpillWriter:
             span.__enter__()
         key = (dest_part, self._step, self._src_part, self._seq)
         self._seq += 1
-        if self._compact:
-            value: Any = encode_spill(buffer)
-            if not self.codec_sample_compact_bytes:
-                self.codec_sample_raw_bytes = len(
-                    pickle.dumps(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-                self.codec_sample_compact_bytes = len(
-                    pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-        else:
-            value = buffer
+        value: Any = encode_spill(buffer) if self._compact else buffer
         self._ready.setdefault(dest_part, []).append((key, value))
         self.spills_sealed += 1
         self.records_written += len(buffer)
@@ -481,12 +456,6 @@ class SpillWriter:
                 "spill.dispatch", cat="transport", dest=dest_part, spills=len(batch)
             )
         self.batches_dispatched += 1
-        if not self._pipelined:
-            # blocking transport: one synchronous put per spill, exactly
-            # the pre-pipeline behavior (kept for ablation benchmarks)
-            for key, records in batch:
-                self._transport.put(key, records)
-            return
         self._in_flight.extend(self._transport.put_many_async(batch))
         depth = len(self._in_flight)
         if depth > self.in_flight_hwm:

@@ -48,9 +48,6 @@ ALLOWED_ENGINE_OPTIONS: Dict[str, type] = {
     "synchronize": bool,
     "max_steps": int,
     "batch_compute": bool,
-    "active_scheduling": bool,
-    "compact_spills": bool,
-    "pipelined_transport": bool,
     "fault_tolerance": bool,
     "checkpoint_interval": int,
     "spill_batch": int,

@@ -135,10 +135,6 @@ def _print_job_stats(store: PersistentKVStore) -> None:
     print(f"  part-steps run:        {stats.get('part_steps_run', 0)}")
     print(f"  parts skipped:         {stats.get('parts_skipped', 0)}")
     print(f"  writeback batches:     {stats.get('state_writeback_batches', 0)}")
-    raw = stats.get("codec_sample_raw_bytes", 0)
-    compact = stats.get("codec_sample_compact_bytes", 0)
-    if raw:
-        print(f"  codec sample:          {raw} raw / {compact} compact bytes")
     if stats.get("part_step_retries"):
         print(f"  part-step retries:     {stats['part_step_retries']}")
     if stats.get("worker_respawns"):

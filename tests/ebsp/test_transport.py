@@ -242,23 +242,6 @@ class TestPipelinedTransport:
         assert writer.batches_dispatched == 4  # 4 spills per marshalled request
         assert len(transport.items()) == 16
 
-    def test_blocking_mode_writes_synchronously(self, setup):
-        store, transport = setup
-        writer = SpillWriter(
-            transport,
-            src_part=0,
-            step=0,
-            n_parts=4,
-            part_of=part_of,
-            batch_size=1,
-            pipelined=False,
-        )
-        writer.add((MSG, 4, "x"))
-        assert len(transport.items()) == 1  # landed before flush_all
-        writer.flush_all()
-        assert writer.batches_dispatched == 1
-        assert writer.in_flight_hwm == 0
-
     def test_in_flight_window_is_bounded(self):
         """With a slow table the writer must block once the window fills."""
 
@@ -369,18 +352,6 @@ class TestCompactCodec:
         assert bundles[0].messages == ["m"] and bundles[0].enabled
         assert bundles[4].enabled and bundles[4].messages == []
         assert bundles[8].created == [(0, "state")]
-
-    def test_codec_byte_sample_recorded(self, setup):
-        store, transport = setup
-        writer = SpillWriter(
-            transport, src_part=0, step=0, n_parts=4, part_of=part_of, compact=True
-        )
-        for i in range(64):
-            writer.add((MSG, 0, i))
-        writer.flush_all()
-        assert writer.codec_sample_compact_bytes > 0
-        # struct-of-arrays drops the per-record tuple overhead
-        assert writer.codec_sample_compact_bytes < writer.codec_sample_raw_bytes
 
     def test_discard_accounts_compact_spills(self, setup):
         store, transport = setup

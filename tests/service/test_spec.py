@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from repro.ebsp.engine import SyncEngine
 from repro.errors import BadRequestError
+from repro.kvstore.local import LocalKVStore
+from repro.service import FrontDoor, ServiceServer
 from repro.service.spec import ALLOWED_ENGINE_OPTIONS, JobRequest, JobStatus
+from tests.service.test_frontdoor import PR_PARAMS
+from tests.service.test_server import call
 
 
 class TestValidation:
@@ -106,3 +113,34 @@ def test_terminal_statuses():
     assert not JobStatus.QUEUED.terminal
     assert not JobStatus.ADMITTED.terminal
     assert not JobStatus.RUNNING.terminal
+
+
+class TestWireDrift:
+    """The wire whitelist and the engine's keywords must not drift: a
+    whitelisted name the engine no longer takes is accepted with 202
+    and then fails the job."""
+
+    def test_whitelisted_options_are_engine_keywords(self):
+        keywords = {
+            name
+            for name, param in inspect.signature(SyncEngine).parameters.items()
+            if param.kind is inspect.Parameter.KEYWORD_ONLY
+        }
+        # synchronize picks the engine in run_job; it is not an engine option
+        assert set(ALLOWED_ENGINE_OPTIONS) - {"synchronize"} <= keywords
+
+    @pytest.mark.parametrize(
+        "option", ["active_scheduling", "compact_spills", "pipelined_transport"]
+    )
+    def test_removed_switches_refused_over_http(self, option):
+        store = LocalKVStore()
+        try:
+            with ServiceServer(FrontDoor(store)) as server:
+                body = {"app": "pagerank", "params": PR_PARAMS, "engine": {option: True}}
+                code, payload, _ = call(server.url, "POST", "/v1/jobs", body)
+        finally:
+            store.close()
+        assert code == 400
+        assert option in payload["error"]
+        for allowed in ALLOWED_ENGINE_OPTIONS:
+            assert allowed in payload["error"]
