@@ -17,15 +17,10 @@ The headline claim — the per-superstep compute speedup (summed
 commit/flush phase) — arms at ``RIPPLE_BENCH_SCALE >= 4``: the ≥5x
 gate needs a workload big enough that per-invocation Python overhead,
 not fixed step costs, dominates the per-key mode.
-
-Writes a ``BENCH_columnar.json`` artifact (path override:
-``RIPPLE_BENCH_OUT``) with per-mode timings and counters.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import pickle
 import time
 from typing import Dict
@@ -89,41 +84,6 @@ def _run(mode: str, adjacency: Dict[int, np.ndarray], n: int) -> dict:
         }
 
 
-def _write_artifact(n: int) -> None:
-    path = os.environ.get("RIPPLE_BENCH_OUT", "BENCH_columnar.json")
-    modes = {}
-    for mode, data in _RESULTS.items():
-        best = min(data["rounds"], key=lambda r: r["compute_seconds"])
-        modes[mode] = {
-            "best_elapsed_seconds": best["elapsed_seconds"],
-            "best_compute_seconds": best["compute_seconds"],
-            "rounds_compute_seconds": [r["compute_seconds"] for r in data["rounds"]],
-            "invocations": best["invocations"],
-            "messages_sent": best["messages_sent"],
-        }
-    doc = {
-        "config": {
-            "n_vertices": n,
-            "iterations": ITERATIONS,
-            "n_parts": N_PARTS,
-            "rounds": bench_rounds(),
-            "cpu_count": os.cpu_count(),
-        },
-        "modes": modes,
-    }
-    if {"perkey", "batch"} <= modes.keys():
-        doc["compute_speedup"] = (
-            modes["perkey"]["best_compute_seconds"]
-            / modes["batch"]["best_compute_seconds"]
-        )
-        doc["elapsed_speedup"] = (
-            modes["perkey"]["best_elapsed_seconds"]
-            / modes["batch"]["best_elapsed_seconds"]
-        )
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
 @pytest.mark.parametrize("mode", ["perkey", "batch"])
 def test_columnar_ablation(benchmark, scale, mode):
     n = _workload(scale)
@@ -139,7 +99,6 @@ def test_columnar_ablation(benchmark, scale, mode):
     _RESULTS[mode] = {"rounds": rounds}
 
     if mode == "batch" and "perkey" in _RESULTS:
-        _write_artifact(n)
         p_best = min(
             _RESULTS["perkey"]["rounds"], key=lambda r: r["compute_seconds"]
         )

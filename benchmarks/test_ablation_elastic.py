@@ -17,15 +17,10 @@ arms on ≥4 cores at ``RIPPLE_BENCH_SCALE>=4``; the first supersteps
 run under the static placement either way (detection takes a step,
 re-routing takes effect one step later), which bounds the achievable
 speedup well below the 4x fanout.
-
-Writes a ``BENCH_elastic.json`` artifact (path override:
-``RIPPLE_BENCH_OUT``) with per-mode elapsed times, the split/migration
-counters, and the observed load-imbalance high-water mark.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import pickle
@@ -140,42 +135,6 @@ def _run(mode: str, n: int, spin_per_message: int) -> dict:
         }
 
 
-def _write_artifact(n: int, spin_per_message: int) -> None:
-    path = os.environ.get("RIPPLE_BENCH_OUT", "BENCH_elastic.json")
-    modes = {}
-    for mode, data in _RESULTS.items():
-        best = min(data["rounds"], key=lambda r: r["elapsed_seconds"])
-        modes[mode] = {
-            "best_elapsed_seconds": best["elapsed_seconds"],
-            "rounds": [r["elapsed_seconds"] for r in data["rounds"]],
-            "invocations": best["invocations"],
-            "messages_sent": best["messages_sent"],
-            "parts_split": best["parts_split"],
-            "parts_merged": best["parts_merged"],
-            "parts_migrated": best["parts_migrated"],
-            "load_imbalance": best["load_imbalance"],
-        }
-    doc = {
-        "config": {
-            "n_vertices": n,
-            "hubs": HUBS,
-            "spin_per_message": spin_per_message,
-            "steps": STEPS,
-            "n_parts": N_PARTS,
-            "rounds": bench_rounds(),
-            "cpu_count": os.cpu_count(),
-        },
-        "modes": modes,
-    }
-    if {"static", "elastic"} <= modes.keys():
-        doc["speedup"] = (
-            modes["static"]["best_elapsed_seconds"]
-            / modes["elastic"]["best_elapsed_seconds"]
-        )
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
 @pytest.mark.parametrize("mode", ["static", "elastic"])
 def test_elastic_ablation(benchmark, scale, mode):
     n, spin_per_message = _workload(scale)
@@ -190,7 +149,6 @@ def test_elastic_ablation(benchmark, scale, mode):
     _RESULTS[mode] = {"rounds": rounds}
 
     if mode == "elastic" and "static" in _RESULTS:
-        _write_artifact(n, spin_per_message)
         s_best = min(
             _RESULTS["static"]["rounds"], key=lambda r: r["elapsed_seconds"]
         )

@@ -12,14 +12,10 @@ respawned processes, nothing else.
 A third mode runs failure-free with superstep checkpointing enabled to
 price the checkpoint writes, and then verifies crash → ``resume=True``
 recovery end-to-end on the same store configuration.
-
-Writes a ``BENCH_fault_recovery.json`` artifact (path override:
-``RIPPLE_BENCH_OUT``) with per-mode timings and recovery counters.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import tempfile
@@ -107,42 +103,6 @@ def _bench_mode(benchmark, adjacency, mode: str, **kwargs) -> None:
     _RESULTS[mode] = rounds
 
 
-def _write_artifact() -> None:
-    path = os.environ.get("RIPPLE_BENCH_OUT", "BENCH_fault_recovery.json")
-    modes = {}
-    for mode, rounds in _RESULTS.items():
-        best = min(rounds, key=lambda r: r["elapsed_seconds"])
-        modes[mode] = {
-            "best_elapsed_seconds": best["elapsed_seconds"],
-            "rounds": [r["elapsed_seconds"] for r in rounds],
-            "worker_respawns": best["worker_respawns"],
-            "part_step_retries": best["part_step_retries"],
-            "worker_timeouts": best["worker_timeouts"],
-            "checkpoints_written": best["checkpoints_written"],
-            "checkpoint_bytes": best["checkpoint_bytes"],
-            "kills_claimed": best["kills_claimed"],
-            "hangs_claimed": best["hangs_claimed"],
-        }
-    doc = {
-        "config": {
-            "iterations": CONFIG.iterations,
-            "n_parts": N_PARTS,
-            "task_deadline": TASK_DEADLINE,
-            "rounds": bench_rounds(),
-            "cpu_count": os.cpu_count(),
-        },
-        "modes": modes,
-    }
-    if {"clean", "chaos"} <= modes.keys():
-        doc["chaos_overhead"] = (
-            modes["chaos"]["best_elapsed_seconds"]
-            / modes["clean"]["best_elapsed_seconds"]
-            - 1.0
-        )
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
 def test_failure_free(benchmark, adjacency):
     _bench_mode(benchmark, adjacency, "clean", chaos=False)
 
@@ -181,7 +141,6 @@ def test_with_checkpointing(benchmark, adjacency, tmp_path):
     if "clean" in _RESULTS:
         assert best["rank_blob"] == _RESULTS["clean"][0]["rank_blob"]
     _verify_resume(str(tmp_path / "resume"))
-    _write_artifact()
 
 
 def _verify_resume(directory: str) -> None:

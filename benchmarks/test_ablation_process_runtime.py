@@ -13,15 +13,10 @@ incoming messages in sorted order — so the two backends must produce
 The ≥1.8x speedup assertion only arms on machines with ≥4 cores at
 ``RIPPLE_BENCH_SCALE>=4``: below that, process-transport overhead
 dominates the tiny workload and the A/B is informational.
-
-Writes a ``BENCH_process_runtime.json`` artifact (path override:
-``RIPPLE_BENCH_OUT``) with per-mode elapsed times, counters, and the
-worker→pid map of the process run.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import pickle
@@ -132,38 +127,6 @@ def _run(runtime: str, n: int, spin_iterations: int) -> dict:
         }
 
 
-def _write_artifact(n: int, spin_iterations: int) -> None:
-    path = os.environ.get("RIPPLE_BENCH_OUT", "BENCH_process_runtime.json")
-    modes = {}
-    for mode, data in _RESULTS.items():
-        best = min(data["rounds"], key=lambda r: r["elapsed_seconds"])
-        modes[mode] = {
-            "best_elapsed_seconds": best["elapsed_seconds"],
-            "rounds": [r["elapsed_seconds"] for r in data["rounds"]],
-            "invocations": best["invocations"],
-            "messages_sent": best["messages_sent"],
-            "worker_stats": best["worker_stats"],
-        }
-    doc = {
-        "config": {
-            "n_components": n,
-            "spin_iterations": spin_iterations,
-            "steps": STEPS,
-            "n_parts": N_PARTS,
-            "rounds": bench_rounds(),
-            "cpu_count": os.cpu_count(),
-        },
-        "modes": modes,
-    }
-    if {"threaded", "process"} <= modes.keys():
-        doc["speedup"] = (
-            modes["threaded"]["best_elapsed_seconds"]
-            / modes["process"]["best_elapsed_seconds"]
-        )
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
 @pytest.mark.parametrize("mode", ["threaded", "process"])
 def test_process_runtime_ablation(benchmark, scale, mode):
     n, spin_iterations = _workload(scale)
@@ -178,7 +141,6 @@ def test_process_runtime_ablation(benchmark, scale, mode):
     _RESULTS[mode] = {"rounds": rounds}
 
     if mode == "process" and "threaded" in _RESULTS:
-        _write_artifact(n, spin_iterations)
         t_best = min(
             _RESULTS["threaded"]["rounds"], key=lambda r: r["elapsed_seconds"]
         )

@@ -6,9 +6,8 @@ becomes readable (by name) in the *following* step.
 
 The implementation follows Section IV-A: partial aggregations are done
 independently in each part as components are invoked, then the partials
-are either returned to the client for final aggregation (the
-modest-count path) or pushed through auxiliary tables (the large-count
-path) — both live in :mod:`repro.ebsp.engine`.
+are returned to the client through the step barrier, merged there and
+finished (:mod:`repro.ebsp.engine`).
 
 An aggregator is a fold: ``create`` makes the identity partial, ``add``
 folds one contributed value in, ``merge`` combines two partials (must

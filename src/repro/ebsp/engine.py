@@ -14,10 +14,8 @@ Within step *i*:
    *i+1*; a positive continue signal becomes a special BSP message to
    the component itself, so "the basic mechanism is driven purely by
    BSP messages";
-4. per-part aggregator partials are folded; between steps the partials
-   are merged globally (directly when the aggregator count is modest,
-   through an auxiliary table otherwise) and the results are readable
-   in step *i+1*;
+4. per-part aggregator partials are folded; the barrier merges them
+   globally, and the finished results are readable in step *i+1*;
 5. between steps there is a global synchronization barrier — here, the
    join on all per-part futures of the enumeration.
 
@@ -85,6 +83,10 @@ SPILL_WINDOW = 8
 #: Components per ``compute_batch`` call; a part's groups are sliced
 #: into chunks of this size.
 COMPUTE_BATCH_SIZE = 65536
+
+#: Attempts a failed part-step gets beyond its first before the job
+#: gives up (simulated failures and lost workers alike).
+MAX_RETRIES = 5
 
 
 class _SimpleBaseContext(BaseContext):
@@ -782,10 +784,8 @@ class SyncEngine:
         *,
         spill_batch: int = 512,
         max_steps: Optional[int] = None,
-        aggregator_table_threshold: int = 8,
         fault_tolerance: bool = False,
         failure_injector: Optional[FailureInjector] = None,
-        max_retries: int = 5,
         trace: Any = None,
         ship_compute: Optional[bool] = None,
         batch_compute: Optional[bool] = None,
@@ -831,14 +831,12 @@ class SyncEngine:
             self._shape = _PerKeyShape
         self._spill_batch = spill_batch
         self._max_steps = max_steps
-        self._agg_table_threshold = aggregator_table_threshold
         if failure_injector is not None and not fault_tolerance:
             # without fault tolerance the input spills are deleted
             # before compute, so a retried part-step loses its messages
             raise JobSpecError("failure_injector requires fault_tolerance=True")
         self._fault_tolerance = fault_tolerance
         self._failure_injector = failure_injector
-        self._max_retries = max_retries
         # Live progress hook: called with each step's StepMetrics right
         # after the barrier (driver thread).  Exceptions are swallowed —
         # a monitoring callback must never fail a tenant's job.
@@ -1520,7 +1518,7 @@ class SyncEngine:
                 for _ in skipped:
                     partial = agg.merge(partial, agg.create())
                 result.agg_partials[name] = partial
-        self._finish_aggregation(result.agg_partials, step)
+        self._finish_aggregation(result.agg_partials)
         if self._ft_real:
             # retained part-step results have been folded; drop them
             self._progress.clear_partials(active, step)
@@ -1582,7 +1580,7 @@ class SyncEngine:
                     failure = exc
                 self._counters.add("part_step_retries")
                 attempts[part] = attempts.get(part, 0) + 1
-                if attempts[part] > self._max_retries:
+                if attempts[part] > MAX_RETRIES:
                     raise RecoveryError(
                         f"part {part} failed step {step} {attempts[part]} times; "
                         f"giving up: {failure}"
@@ -1649,37 +1647,14 @@ class SyncEngine:
         if discarded:
             self._counters.add("spills_discarded", discarded)
 
-    def _finish_aggregation(self, merged_partials: Dict[str, Any], step: int) -> None:
+    def _finish_aggregation(self, merged_partials: Dict[str, Any]) -> None:
         """Make aggregation results readable in the following step.
 
-        Small aggregator sets merge client-side (the partials already
-        arrived through the barrier); large sets go through an
-        auxiliary table and another round of enumeration (paper §IV-A).
+        The barrier already merged the per-part partials (paper §IV-A's
+        client-side merge), so each aggregator only finishes its value.
         """
-        if not self._aggs:
-            return
-        if len(self._aggs) <= self._agg_table_threshold:
-            self._agg_values = {
-                name: agg.finish(merged_partials[name]) for name, agg in self._aggs.items()
-            }
-            return
-        aux_name = f"__ebsp_agg_{self._jid}_{step}"
-        aux = self._store.create_table(TableSpec(name=aux_name, n_parts=self.n_parts))
-        aux.put_many(((name, step), partial) for name, partial in merged_partials.items())
-        collected: Dict[str, Any] = {}
-
-        def _gather(key: Any, value: Any) -> bool:
-            name = key[0]
-            agg = self._aggs[name]
-            collected[name] = (
-                value if name not in collected else agg.merge(collected[name], value)
-            )
-            return False
-
-        aux.enumerate_pairs(FnPairConsumer(_gather))
-        self._store.drop_table(aux_name)
         self._agg_values = {
-            name: agg.finish(collected.get(name, agg.create())) for name, agg in self._aggs.items()
+            name: agg.finish(merged_partials[name]) for name, agg in self._aggs.items()
         }
 
     # -- one part's slice of one step -----------------------------------------------
@@ -1692,7 +1667,7 @@ class SyncEngine:
             except SimulatedFailure:
                 attempts += 1
                 self._counters.add("part_step_retries")
-                if attempts > self._max_retries:
+                if attempts > MAX_RETRIES:
                     raise
                 # Nothing was committed; the spills for this step are still
                 # in the transport table, so simply retry.

@@ -4,9 +4,9 @@ The SPI (:mod:`repro.kvstore.api`) is deliberately narrow, following the
 paper's Section III: a store provides partitioned (optionally
 replicated, optionally ordered, optionally ubiquitous) tables with
 get/put/delete, part and pair enumeration driven by client callbacks,
-and the ability to run mobile client code collocated with a part.
-
-Three conformant implementations ship with the library:
+and the ability to run mobile client code collocated with a part.  The
+table front and the catalog are written once in the SPI module; each
+store below is a thin part back-end under them:
 
 - :class:`~repro.kvstore.local.LocalKVStore` — the simplest store, one
   logical machine, useful for debugging and unit tests.

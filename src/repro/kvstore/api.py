@@ -31,26 +31,44 @@ Collocated compute ("mobile code")
     ``Table.run_collocated(part, fn)`` executes ``fn`` at the location
     holding that part.  Ripple moves placement of computation into the
     storage layer; this is the hook it uses.
+
+Front and part back-end
+    Everything a table or store does the same way everywhere is written
+    once here: :class:`Table` is the table front (every public
+    operation, with its dropped/epoch/``None``/ubiquity rules, batch
+    splitting and enumeration folding) and :class:`KVStore` the catalog.
+    A store supplies only a *part back-end* — which view serves a part
+    and how a :class:`PartOps` body reaches it.
 """
 
 from __future__ import annotations
 
 import abc
+import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, List, Optional
 
-from repro.errors import BadTableSpecError
+from repro.errors import (
+    BadTableSpecError,
+    NoSuchTableError,
+    TableDroppedError,
+    TableExistsError,
+    UbiquityViolationError,
+)
+from repro.runtime.shipping import CONSUMER_SHIP_ATTR
 from repro.util.hashing import part_for_key
 
 
-def completed_future(result: Any = None, exception: Optional[BaseException] = None) -> Future:
-    """An already-resolved :class:`Future` (the synchronous-store default)."""
+def run_to_future(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
+    """Run ``fn(*args, **kwargs)`` now; its result or exception as a
+    resolved future (how a store without a concurrent substrate answers
+    a non-blocking call)."""
     future: Future = Future()
-    if exception is not None:
-        future.set_exception(exception)
-    else:
-        future.set_result(result)
+    try:
+        future.set_result(fn(*args, **kwargs))
+    except BaseException as exc:
+        future.set_exception(exc)
     return future
 
 
@@ -256,18 +274,136 @@ class PartView(abc.ABC):
             yield key, value
 
 
+def resolve_n_parts(spec: TableSpec, store: "KVStore") -> int:
+    """Compute the part count for *spec* within *store*."""
+    spec.validate()
+    if spec.ubiquitous:
+        return 1
+    if spec.like is not None:
+        return store.get_table(spec.like).n_parts
+    if spec.n_parts is not None:
+        return spec.n_parts
+    return store.default_n_parts
+
+
+def fold_part_results(consumer: Any, results: list) -> Any:
+    """Left-fold per-part results through ``consumer.combine``."""
+    acc = None
+    first = True
+    for result in results:
+        if first:
+            acc = result
+            first = False
+        else:
+            acc = consumer.combine(acc, result)
+    return acc
+
+
+def consume_items(part_index: int, items: Iterable[tuple], consumer: PairConsumer) -> Any:
+    """Drive one part's pairs through *consumer* (setup, consume until it
+    asks to stop, finish)."""
+    consumer.setup_part(part_index)
+    for key, value in items:
+        if consumer.consume(key, value):
+            break
+    return consumer.finish_part(part_index)
+
+
+class PartOps:
+    """The operation bodies the table front routes to a single part.
+
+    Every table operation reaches a part as ``op(view, *args)`` (point,
+    batch, size/clear) or ``op(part_index, view, consumer)``
+    (enumeration).  A back-end whose parts live in another address
+    space swaps in shippable twins of the same bodies (its ``_ops``).
+    """
+
+    @staticmethod
+    def get(view: PartView, key: Any) -> Any:
+        return view.get(key)
+
+    @staticmethod
+    def put(view: PartView, key: Any, value: Any) -> None:
+        view.put(key, value)
+
+    @staticmethod
+    def delete(view: PartView, key: Any) -> bool:
+        return view.delete(key)
+
+    @staticmethod
+    def checked_put(view: PartView, key: Any, value: Any, limit: int, name: str) -> None:
+        """A put enforcing the ubiquity limit collocated with the (single)
+        part: its length is the table size, so one request checks and
+        writes."""
+        if len(view) >= limit and view.get(key) is None:
+            raise UbiquityViolationError(
+                f"ubiquitous table {name!r} exceeds its limit of {limit}"
+            )
+        view.put(key, value)
+
+    @staticmethod
+    def put_batch(view: PartView, batch: list) -> None:
+        for key, value in batch:
+            view.put(key, value)
+
+    @staticmethod
+    def checked_put_batch(view: PartView, batch: list, limit: int, name: str) -> None:
+        for key, value in batch:
+            PartOps.checked_put(view, key, value, limit, name)
+
+    @staticmethod
+    def get_batch(view: PartView, keys: list) -> list:
+        get = view.get
+        return [get(key) for key in keys]
+
+    @staticmethod
+    def delete_batch(view: PartView, keys: list) -> None:
+        for key in keys:
+            view.delete(key)
+
+    @staticmethod
+    def length(view: PartView) -> int:
+        return len(view)
+
+    @staticmethod
+    def clear(view: PartView) -> None:
+        for key in list(view.keys()):
+            view.delete(key)
+
+    @staticmethod
+    def process_part(part_index: int, view: PartView, consumer: PartConsumer) -> Any:
+        return consumer.process_part(part_index, view)
+
+    @staticmethod
+    def consume_pairs(part_index: int, view: PartView, consumer: PairConsumer) -> Any:
+        return consume_items(part_index, view.items(), consumer)
+
+
 class Table(abc.ABC):
     """A partitioned key/value table (paper Section III-A).
 
     Keys and values are general objects.  ``get`` returns ``None`` for
     absent keys (``None`` is not a storable value, matching the paper's
     Java heritage); ``delete`` returns whether the key was present.
+
+    The class is the *table front*, written once for every store: the
+    dropped check, the mutation epoch, tracing spans, the ``None`` and
+    ubiquity rules, the per-part split of batches, enumeration folding
+    and the collocated-dispatch bounds check all live here.  A store
+    supplies only its *part back-end* — the private hooks below
+    :meth:`_view` — which say which view serves a part and how an
+    operation reaches it.
     """
 
-    def __init__(self, spec: TableSpec, n_parts: int):
+    #: The per-part operation bodies this table routes (see :class:`PartOps`).
+    _ops: Any = PartOps
+
+    def __init__(self, spec: TableSpec, n_parts: int, store: Optional["KVStore"] = None):
         self._spec = spec
         self._n_parts = n_parts
+        self._store = store
         self._mutation_epoch = 0
+        self._dropped = False
 
     @property
     def spec(self) -> TableSpec:
@@ -275,10 +411,10 @@ class Table(abc.ABC):
 
     # -- mutation epochs ---------------------------------------------------
     #
-    # Every store bumps the epoch from its table-level mutation entry
-    # points (put/delete/clear and the bulk/async variants).  The
-    # counter is deliberately coarse: it answers "has this table
-    # possibly changed since epoch E?" — which is all the service
+    # Every write entry point (put/delete/clear and the bulk/async
+    # variants) bumps the epoch once, after the table passed its dropped
+    # check.  The counter is deliberately coarse: it answers "has this
+    # table possibly changed since epoch E?" — which is all the service
     # layer's result cache needs for invalidation — not "how many
     # records changed".  Increments are best-effort under concurrency
     # (a racing pair may collapse into one bump); what is guaranteed is
@@ -290,7 +426,7 @@ class Table(abc.ABC):
         return self._mutation_epoch
 
     def note_mutation(self) -> None:
-        """Advance the mutation epoch (stores call this on write paths)."""
+        """Advance the mutation epoch (every write path calls this)."""
         self._mutation_epoch += 1
 
     @property
@@ -336,46 +472,46 @@ class Table(abc.ABC):
         part_of = self.part_of
         return np.fromiter((part_of(k) for k in keys), dtype=np.int64, count=n)
 
-    # -- point operations ------------------------------------------------
-    @abc.abstractmethod
-    def get(self, key: Any) -> Any:
-        """Return the value for *key*, or ``None`` when absent."""
+    # -- the front's own rules -----------------------------------------------
+    def _check(self) -> None:
+        """Every public operation starts here: a dropped table raises."""
+        if self._dropped:
+            raise TableDroppedError(self.name)
 
-    @abc.abstractmethod
-    def put(self, key: Any, value: Any) -> None:
-        """Associate *value* (not ``None``) with *key*."""
+    def _mark_dropped(self) -> None:
+        self._dropped = True
 
-    @abc.abstractmethod
-    def delete(self, key: Any) -> bool:
-        """Remove *key*; return whether it was present."""
+    def _put_request(self, key: Any, value: Any) -> tuple:
+        """``(op, *args)`` for one checked put; bumps the epoch."""
+        self._check()
+        if value is None:
+            raise ValueError("None is not a storable value; use delete()")
+        self.note_mutation()
+        if self.ubiquitous:
+            return (self._ops.checked_put, key, value, self._spec.ubiquity_limit, self.name)
+        return (self._ops.put, key, value)
 
-    def contains(self, key: Any) -> bool:
-        return self.get(key) is not None
+    def _split(self, items: Iterable[Any], pairs: bool = False) -> dict:
+        """Group keys (or ``(key, value)`` pairs) by part, keeping each
+        part's items in input order.  ``None`` values are rejected before
+        anything is applied."""
+        by_part: dict = {}
+        part_of = self.part_of
+        if pairs:
+            for key, value in items:
+                if value is None:
+                    raise ValueError("None is not a storable value; use delete()")
+                by_part.setdefault(part_of(key), []).append((key, value))
+        else:
+            for key in items:
+                by_part.setdefault(part_of(key), []).append(key)
+        return by_part
 
-    # -- non-blocking point operations -------------------------------------
-    #
-    # The async variants return a :class:`concurrent.futures.Future` so
-    # clients (notably the EBSP spill transport) can overlap computation
-    # with cross-partition I/O and gather at a barrier.  Stores without a
-    # concurrent substrate fall back to executing inline and returning an
-    # already-resolved future — same semantics, no pipelining.
-    def put_async(self, key: Any, value: Any) -> Future:
-        """Non-blocking :meth:`put`; resolves to ``None`` when durable."""
-        try:
-            self.put(key, value)
-        except BaseException as exc:
-            return completed_future(exception=exc)
-        return completed_future(None)
-
-    def delete_async(self, key: Any) -> Future:
-        """Non-blocking :meth:`delete`; resolves to the presence bool."""
-        try:
-            return completed_future(self.delete(key))
-        except BaseException as exc:
-            return completed_future(exception=exc)
+    def _part_indices(self, parts: Optional[Iterable[int]]) -> list:
+        return list(range(self._n_parts)) if parts is None else sorted(set(parts))
 
     def _batch_span(self, op: str, items: Any) -> tuple:
-        """``(items, span)`` for one batched RPC.
+        """``(items, span)`` for one batched call.
 
         When tracing is active the items are materialized (to count
         them) and a ``cat="store"`` span is returned for the caller to
@@ -391,55 +527,137 @@ class Table(abc.ABC):
             items = list(items)
         return items, tracer.span(op, cat="store", table=self.name, records=len(items))
 
-    # -- bulk operations (overridable for efficiency) ----------------------
+    # -- point operations ------------------------------------------------
+    def get(self, key: Any) -> Any:
+        """Return the value for *key*, or ``None`` when absent."""
+        self._check()
+        return self._call(self.part_of(key), self._ops.get, key, readonly=True)
+
+    def put(self, key: Any, value: Any) -> None:
+        """Associate *value* (not ``None``) with *key*."""
+        self._call(self.part_of(key), *self._put_request(key, value))
+
+    def delete(self, key: Any) -> bool:
+        """Remove *key*; return whether it was present."""
+        self._check()
+        self.note_mutation()
+        return bool(self._call(self.part_of(key), self._ops.delete, key, readonly=True))
+
+    def contains(self, key: Any) -> bool:
+        return self.get(key) is not None
+
+    # -- non-blocking point operations -------------------------------------
     #
-    # Stores that pay a per-operation routing or marshalling cost override
-    # these to issue *one request per touched part*, dispatched
-    # concurrently.  The contract: ``put_many(pairs)`` is equivalent to
-    # (but may be much cheaper than) calling ``put`` per pair; partial
-    # failure leaves a prefix-undefined state, exactly like a loop would.
+    # The async variants return a :class:`concurrent.futures.Future` so
+    # clients (notably the EBSP spill transport) can overlap computation
+    # with cross-partition I/O and gather at a barrier.  The table rules
+    # (dropped, None) raise synchronously; what the part itself rejects
+    # fails the future.
+    def put_async(self, key: Any, value: Any) -> Future:
+        """Non-blocking :meth:`put`; resolves to ``None`` when applied."""
+        return self._submit(self.part_of(key), *self._put_request(key, value))
+
+    def delete_async(self, key: Any) -> Future:
+        """Non-blocking :meth:`delete`; resolves to the presence bool."""
+        self._check()
+        self.note_mutation()
+        return self._submit(self.part_of(key), self._ops.delete, key, readonly=True)
+
+    # -- bulk operations -----------------------------------------------------
+    #
+    # One request per touched part, dispatched concurrently.  The
+    # contract: ``put_many(pairs)`` is equivalent to (but may be much
+    # cheaper than) calling ``put`` per pair; partial failure leaves a
+    # prefix-undefined state, exactly like a loop would.
     def put_many(self, pairs: Iterable[tuple]) -> None:
-        """Store every (key, value) pair; batched per part where possible."""
-        for future in self.put_many_async(pairs):
-            future.result()
+        """Store every (key, value) pair; one request per touched part."""
+        self._check()
+        pairs, span = self._batch_span("store.put_many", pairs)
+        with span:
+            for future in self.put_many_async(pairs):
+                future.result()
 
     def put_many_async(self, pairs: Iterable[tuple]) -> List[Future]:
-        """Dispatch all puts without waiting; returns the futures to gather.
-
-        Stores with per-part request routing override this to marshal each
-        per-part batch once and dispatch all batches concurrently.
-        """
-        return [self.put_async(key, value) for key, value in pairs]
+        """Dispatch every per-part put batch without waiting; returns the
+        futures to gather."""
+        self._check()
+        by_part = self._split(pairs, pairs=True)
+        self.note_mutation()
+        if self.ubiquitous:
+            limit = self._spec.ubiquity_limit
+            return [
+                self._submit(0, self._ops.checked_put_batch, batch, limit, self.name)
+                for batch in by_part.values()
+            ]
+        put_batch = self._ops.put_batch
+        return [
+            self._send_batch(part, put_batch, batch) for part, batch in by_part.items()
+        ]
 
     def get_many(self, keys: Iterable[Any]) -> dict:
-        """Look up many keys at once; one request per touched part when
-        the store routes requests.  Absent keys map to ``None``."""
-        return {key: self.get(key) for key in keys}
+        """Look up many keys at once, one request per touched part.
+        Absent keys map to ``None``."""
+        self._check()
+        keys, span = self._batch_span("store.get_many", keys)
+        with span:
+            get_batch = self._ops.get_batch
+            requests = [
+                (part_keys, self._send_batch(part, get_batch, part_keys, readonly=True))
+                for part, part_keys in self._split(keys).items()
+            ]
+            out: dict = {}
+            for part_keys, future in requests:
+                out.update(zip(part_keys, future.result()))
+            return out
 
     def delete_many(self, keys: Iterable[Any]) -> None:
-        """Remove every key; batched per part where possible."""
-        for future in self.delete_many_async(keys):
-            future.result()
+        """Remove every key; one request per touched part."""
+        self._check()
+        keys, span = self._batch_span("store.delete_many", keys)
+        with span:
+            for future in self.delete_many_async(keys):
+                future.result()
 
     def delete_many_async(self, keys: Iterable[Any]) -> List[Future]:
-        """Dispatch all deletes without waiting; returns the futures to
-        gather.  Stores with per-part request routing override this to
-        marshal each per-part batch once."""
-        return [self.delete_async(key) for key in keys]
+        """Dispatch every per-part delete batch without waiting; returns
+        the futures to gather."""
+        self._check()
+        self.note_mutation()
+        delete_batch = self._ops.delete_batch
+        return [
+            self._send_batch(part, delete_batch, batch, readonly=True)
+            for part, batch in self._split(keys).items()
+        ]
 
     # -- enumeration -------------------------------------------------------
-    @abc.abstractmethod
+    def _enum_ops(self, consumer: Any) -> Any:
+        """The ops running *consumer*: shipped with the part when the
+        consumer opted in and the back-end can ship, else in place."""
+        return self._ops if getattr(consumer, CONSUMER_SHIP_ATTR, False) else PartOps
+
     def enumerate_parts(self, consumer: PartConsumer, parts: Optional[Iterable[int]] = None) -> Any:
         """Run *consumer* over each part (or the given subset) and fold results."""
+        self._check()
+        results = self._gather(
+            self._part_indices(parts), self._enum_ops(consumer).process_part, consumer
+        )
+        return fold_part_results(consumer, results)
 
-    @abc.abstractmethod
     def enumerate_pairs(self, consumer: PairConsumer, parts: Optional[Iterable[int]] = None) -> Any:
         """Run *consumer* over every pair of each part and fold per-part results."""
+        self._check()
+        results = self._gather(
+            self._part_indices(parts), self._enum_ops(consumer).consume_pairs, consumer
+        )
+        return fold_part_results(consumer, results)
 
     # -- collocated compute -------------------------------------------------
-    @abc.abstractmethod
     def run_collocated(self, part_index: int, fn: Callable[[int, PartView], Any]) -> Any:
         """Run mobile code *fn(part_index, part_view)* at *part_index*'s location."""
+        self._check()
+        if not 0 <= part_index < self._n_parts:
+            raise IndexError(f"part {part_index} out of range for {self.name!r}")
+        return self._gather([part_index], fn)[0]
 
     def range_scan(self, lo: Optional[Any] = None, hi: Optional[Any] = None) -> list:
         """All (key, value) pairs with ``lo <= key < hi``, globally sorted.
@@ -454,6 +672,7 @@ class Table(abc.ABC):
 
         from repro.errors import StoreError
 
+        self._check()
         if not self.ordered:
             raise StoreError(
                 f"range_scan requires an ordered table; {self.name!r} is not "
@@ -471,13 +690,20 @@ class Table(abc.ABC):
         return list(heapq.merge(*runs))
 
     # -- whole-table helpers -------------------------------------------------
-    @abc.abstractmethod
     def size(self) -> int:
         """Total number of entries across all parts."""
+        self._check()
+        length = self._ops.length
+        futures = [self._submit(part, length) for part in range(self._n_parts)]
+        return sum(future.result() for future in futures)
 
-    @abc.abstractmethod
     def clear(self) -> None:
         """Remove all entries."""
+        self._check()
+        self.note_mutation()
+        clear = self._ops.clear
+        for future in [self._submit(part, clear) for part in range(self._n_parts)]:
+            future.result()
 
     def items(self) -> list:
         """Materialize all (key, value) pairs.  Convenience for tests/tools."""
@@ -491,9 +717,57 @@ class Table(abc.ABC):
         self.enumerate_pairs(_Collect())
         return out
 
+    # -- the part back-end ---------------------------------------------------
+    #
+    # What a store supplies.  ``_view`` is the only required hook; the
+    # rest default to running every operation in place on that view and
+    # every part-wide task on the store runtime's long lane.
+    @abc.abstractmethod
+    def _view(self, part_index: int) -> PartView:
+        """The view serving *part_index* to enumerations and mobile code."""
+
+    def _call(self, part_index: int, op: Callable[..., Any], *args: Any, readonly: bool = False) -> Any:
+        """Run ``op(view, *args)`` at the part (the short lane) and return
+        its result.  *readonly* promises *op* only reads *args*."""
+        return op(self._view(part_index), *args)
+
+    def _submit(self, part_index: int, op: Callable[..., Any], *args: Any, readonly: bool = False) -> Future:
+        """Non-blocking :meth:`_call`: the future resolves to *op*'s result."""
+        return run_to_future(self._call, part_index, op, *args, readonly=readonly)
+
+    def _send_batch(self, part_index: int, op: Callable[..., Any], batch: list, readonly: bool = False) -> Future:
+        """Dispatch one per-part batch; back-ends that count batched
+        requests do it here."""
+        return self._submit(part_index, op, batch, readonly=readonly)
+
+    def _gather(self, indices: list, fn: Callable[..., Any], *args: Any) -> list:
+        """Run ``fn(part_index, view, *args)`` at each part on the long
+        lane, concurrently; return the results in *indices* order.
+
+        Parts served by the calling thread's own worker run inline —
+        waiting on our own serialized long slot would deadlock.
+        """
+        runtime = self._store.runtime
+        here = runtime.current_worker()
+        futures = {
+            i: runtime.submit_long(i, fn, i, self._view(i), *args)
+            for i in indices
+            if runtime.worker_of(i) != here
+        }
+        return [
+            futures[i].result() if i in futures else fn(i, self._view(i), *args)
+            for i in indices
+        ]
+
 
 class KVStore(abc.ABC):
     """A key/value store: a namespace of tables plus a compute substrate.
+
+    The catalog — create (with the exists check), look-up, listing,
+    drop (mark the handle dropped, then let the store release the
+    parts) and an idempotent :meth:`close` — is written once here; a
+    store supplies :meth:`_open_table` and, when it holds resources,
+    the ``_release_*`` hooks.
 
     Every implementation exposes its execution substrate as
     ``store.runtime`` (a :class:`~repro.runtime.WorkerRuntime`) and
@@ -505,29 +779,66 @@ class KVStore(abc.ABC):
     so tests and benchmarks cannot leak worker threads.
     """
 
-    @abc.abstractmethod
-    def create_table(self, spec: TableSpec) -> Table:
-        """Create a table; raises :class:`TableExistsError` on name clash."""
+    runtime: Any
 
-    @abc.abstractmethod
-    def drop_table(self, name: str) -> None:
-        """Drop a table; raises :class:`NoSuchTableError` when unknown."""
-
-    @abc.abstractmethod
-    def get_table(self, name: str) -> Table:
-        """Look up an existing table by name."""
-
-    @abc.abstractmethod
-    def list_tables(self) -> list:
-        """Names of all existing tables, sorted."""
+    def __init__(self, default_n_parts: int):
+        if default_n_parts <= 0:
+            raise ValueError("default_n_parts must be positive")
+        self._default_n_parts = default_n_parts
+        self._tables: dict = {}
+        self._lock = threading.Lock()
+        self._closed = False
 
     @property
-    @abc.abstractmethod
     def default_n_parts(self) -> int:
         """Part count used when a :class:`TableSpec` does not give one."""
+        return self._default_n_parts
+
+    @abc.abstractmethod
+    def _open_table(self, spec: TableSpec, n_parts: int) -> Table:
+        """Build a new table's part back-end (called under the catalog lock)."""
+
+    def _release_table(self, table: Table) -> None:
+        """Free a dropped table's parts (its handle is already dropped)."""
+
+    def _release_store(self) -> None:
+        """Free store resources once the runtime has drained."""
+
+    def create_table(self, spec: TableSpec) -> Table:
+        """Create a table; raises :class:`TableExistsError` on name clash."""
+        n_parts = resolve_n_parts(spec, self)
+        with self._lock:
+            if spec.name in self._tables:
+                raise TableExistsError(spec.name)
+            table = self._open_table(spec, n_parts)
+            self._tables[spec.name] = table
+            return table
+
+    def drop_table(self, name: str) -> None:
+        """Drop a table; raises :class:`NoSuchTableError` when unknown."""
+        with self._lock:
+            table = self._tables.pop(name, None)
+        if table is None:
+            raise NoSuchTableError(name)
+        table._mark_dropped()
+        self._release_table(table)
+
+    def get_table(self, name: str) -> Table:
+        """Look up an existing table by name."""
+        with self._lock:
+            table = self._tables.get(name)
+        if table is None:
+            raise NoSuchTableError(name)
+        return table
+
+    def list_tables(self) -> list:
+        """Names of all existing tables, sorted."""
+        with self._lock:
+            return sorted(self._tables)
 
     def has_table(self, name: str) -> bool:
-        return name in self.list_tables()
+        with self._lock:
+            return name in self._tables
 
     def create_table_like(self, name: str, like: str, **kwargs: Any) -> Table:
         """Create a table consistently partitioned with table *like*."""
@@ -539,8 +850,13 @@ class KVStore(abc.ABC):
         return self.create_table(spec)
 
     def close(self) -> None:
-        """Release resources (threads, files), draining pending work.
-        Idempotent."""
+        """Drain pending work (in-flight async writes are applied), then
+        release the runtime and the store's resources.  Idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        self.runtime.close(wait=True)
+        self._release_store()
 
     def __enter__(self) -> "KVStore":
         return self

@@ -6,215 +6,37 @@ threads.  It exists so that jobs can be developed and unit-tested with
 fully deterministic, single-threaded execution before being pointed at
 a parallel store — and so tests can verify that the other stores agree
 with it.
+
+Its part back-end is the smallest possible one: a list of plain
+in-memory parts, each operation running in place on the caller.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Callable, Iterable, Optional
-
-from repro.errors import (
-    NoSuchTableError,
-    TableDroppedError,
-    TableExistsError,
-    UbiquityViolationError,
-)
-from repro.kvstore.api import KVStore, PairConsumer, PartConsumer, PartView, Table, TableSpec
+from repro.kvstore.api import KVStore, PartView, Table, TableSpec
 from repro.kvstore.memory_table import make_part
 from repro.runtime import InlineRuntime
-
-
-def resolve_n_parts(spec: TableSpec, store: KVStore) -> int:
-    """Compute the part count for *spec* within *store* (shared helper)."""
-    spec.validate()
-    if spec.ubiquitous:
-        return 1
-    if spec.like is not None:
-        return store.get_table(spec.like).n_parts
-    if spec.n_parts is not None:
-        return spec.n_parts
-    return store.default_n_parts
-
-
-def fold_part_results(consumer, results: list) -> Any:
-    """Left-fold per-part results through ``consumer.combine``."""
-    acc = None
-    first = True
-    for result in results:
-        if first:
-            acc = result
-            first = False
-        else:
-            acc = consumer.combine(acc, result)
-    return acc
 
 
 class LocalTable(Table):
     """A table whose parts are plain in-process structures."""
 
     def __init__(self, spec: TableSpec, n_parts: int, store: "LocalKVStore"):
-        super().__init__(spec, n_parts)
-        self._store = store
+        super().__init__(spec, n_parts, store)
         self._parts = [make_part(spec.ordered) for _ in range(n_parts)]
-        self._dropped = False
 
-    def _check(self) -> None:
-        if self._dropped:
-            raise TableDroppedError(self.name)
-
-    def _part(self, key: Any) -> PartView:
-        return self._parts[self.part_of(key)]
-
-    def get(self, key: Any) -> Any:
-        self._check()
-        return self._part(key).get(key)
-
-    def put(self, key: Any, value: Any) -> None:
-        self._check()
-        if self.ubiquitous and self.size() >= self.spec.ubiquity_limit and self._part(key).get(key) is None:
-            raise UbiquityViolationError(
-                f"ubiquitous table {self.name!r} exceeds its limit of {self.spec.ubiquity_limit}"
-            )
-        self.note_mutation()
-        self._part(key).put(key, value)
-
-    def delete(self, key: Any) -> bool:
-        self._check()
-        self.note_mutation()
-        return self._part(key).delete(key)
-
-    # -- bulk operations --------------------------------------------------
-    def put_many(self, pairs: Iterable[tuple]) -> None:
-        """Bulk load without per-pair dropped/ubiquity re-checks.
-
-        Ubiquitous tables fall back to the checked per-put path (they are
-        contractually small); ordinary tables route each pair straight to
-        its part.
-        """
-        self._check()
-        self.note_mutation()
-        pairs, span = self._batch_span("store.put_many", pairs)
-        with span:
-            if self.ubiquitous:
-                for key, value in pairs:
-                    self.put(key, value)
-                return
-            parts = self._parts
-            part_of = self.part_of
-            for key, value in pairs:
-                parts[part_of(key)].put(key, value)
-
-    def get_many(self, keys: Iterable[Any]) -> dict:
-        self._check()
-        keys, span = self._batch_span("store.get_many", keys)
-        with span:
-            parts = self._parts
-            part_of = self.part_of
-            return {key: parts[part_of(key)].get(key) for key in keys}
-
-    def delete_many(self, keys: Iterable[Any]) -> None:
-        """Batch deletes routed straight to each key's part."""
-        self._check()
-        self.note_mutation()
-        keys, span = self._batch_span("store.delete_many", keys)
-        with span:
-            parts = self._parts
-            part_of = self.part_of
-            for key in keys:
-                parts[part_of(key)].delete(key)
-
-    def enumerate_parts(self, consumer: PartConsumer, parts: Optional[Iterable[int]] = None) -> Any:
-        self._check()
-        indices = range(self.n_parts) if parts is None else sorted(set(parts))
-        runtime = self._store.runtime
-        results = [
-            runtime.submit_long(i, consumer.process_part, i, self._parts[i]).result()
-            for i in indices
-        ]
-        return fold_part_results(consumer, results)
-
-    def enumerate_pairs(self, consumer: PairConsumer, parts: Optional[Iterable[int]] = None) -> Any:
-        self._check()
-        indices = range(self.n_parts) if parts is None else sorted(set(parts))
-
-        def _run(part_index: int, view: PartView) -> Any:
-            consumer.setup_part(part_index)
-            for key, value in view.items():
-                if consumer.consume(key, value):
-                    break
-            return consumer.finish_part(part_index)
-
-        runtime = self._store.runtime
-        results = [
-            runtime.submit_long(i, _run, i, self._parts[i]).result() for i in indices
-        ]
-        return fold_part_results(consumer, results)
-
-    def run_collocated(self, part_index: int, fn: Callable[[int, PartView], Any]) -> Any:
-        self._check()
-        if not 0 <= part_index < self.n_parts:
-            raise IndexError(f"part {part_index} out of range for {self.name!r}")
-        return self._store.runtime.submit_long(
-            part_index, fn, part_index, self._parts[part_index]
-        ).result()
-
-    def size(self) -> int:
-        self._check()
-        return sum(len(p) for p in self._parts)
-
-    def clear(self) -> None:
-        self._check()
-        self.note_mutation()
-        for part in self._parts:
-            part.clear()  # type: ignore[attr-defined]
-
-    def _mark_dropped(self) -> None:
-        self._dropped = True
+    def _view(self, part_index: int) -> PartView:
+        return self._parts[part_index]
 
 
 class LocalKVStore(KVStore):
     """Single-process, single-threaded store (the debugging store)."""
 
     def __init__(self, default_n_parts: int = 4):
-        if default_n_parts <= 0:
-            raise ValueError("default_n_parts must be positive")
-        self._default_n_parts = default_n_parts
-        self._tables: dict = {}
-        self._lock = threading.Lock()
+        super().__init__(default_n_parts)
         # The debugging store is single-threaded by contract, so its
         # runtime is always inline: collocated work runs on the caller.
         self.runtime = InlineRuntime(default_n_parts, name="local")
 
-    @property
-    def default_n_parts(self) -> int:
-        return self._default_n_parts
-
-    def create_table(self, spec: TableSpec) -> Table:
-        n_parts = resolve_n_parts(spec, self)
-        with self._lock:
-            if spec.name in self._tables:
-                raise TableExistsError(spec.name)
-            table = LocalTable(spec, n_parts, self)
-            self._tables[spec.name] = table
-            return table
-
-    def drop_table(self, name: str) -> None:
-        with self._lock:
-            table = self._tables.pop(name, None)
-        if table is None:
-            raise NoSuchTableError(name)
-        table._mark_dropped()
-
-    def get_table(self, name: str) -> Table:
-        with self._lock:
-            table = self._tables.get(name)
-        if table is None:
-            raise NoSuchTableError(name)
-        return table
-
-    def list_tables(self) -> list:
-        with self._lock:
-            return sorted(self._tables)
-
-    def close(self) -> None:
-        self.runtime.close(wait=True)
+    def _open_table(self, spec: TableSpec, n_parts: int) -> Table:
+        return LocalTable(spec, n_parts, self)

@@ -29,6 +29,11 @@ part-by-part, which is what the EBSP layer's co-partitioning relies on.
 Pass ``runtime="inline"`` for single-threaded deterministic execution
 with the marshalling semantics intact.
 
+All of this is the store's part back-end: the table front in
+:mod:`repro.kvstore.api` decides *what* reaches a part, and
+:class:`PartitionedTable` decides how — over which lane, with which
+marshalling, counted how.
+
 Process mode (paper §III: the same SPI on real cores)
 -----------------------------------------------------
 
@@ -56,22 +61,17 @@ import uuid
 from concurrent.futures import Future
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from repro.errors import (
-    NoSuchTableError,
-    TableDroppedError,
-    TableExistsError,
-    UbiquityViolationError,
-)
 from repro.kvstore.api import (
     KVStore,
     PairConsumer,
     PartConsumer,
+    PartOps,
     PartView,
     Table,
     TableSpec,
-    completed_future,
+    consume_items,
+    run_to_future,
 )
-from repro.kvstore.local import fold_part_results, resolve_n_parts
 from repro.kvstore.memory_table import make_part
 from repro.runtime import RuntimeSpec, resolve_runtime, shippable
 from repro.runtime.process import (
@@ -81,14 +81,14 @@ from repro.runtime.process import (
     journal_enabled,
 )
 from repro.runtime.retry import WorkerLostError
-from repro.runtime.shipping import CONSUMER_SHIP_ATTR, ShippingError
+from repro.runtime.shipping import CONSUMER_SHIP_ATTR, ShippingError, is_shippable
 from repro.serde import Codec, SerdeStats
 
 
-# Shared operation bodies for point/batch requests.  Module-level (not
-# per-call lambdas) so the hot path does not allocate a closure per op,
-# and @shippable so a process runtime executes them in the part's owner
-# process instead of the parent.
+# Shippable twins of the table front's part operations (:class:`PartOps`).
+# Module-level so a process runtime can execute them in the part's owner
+# process: a shipped task carries a by-name reference to one of these,
+# never code.
 @shippable
 def _op_get(view: PartView, key: Any) -> Any:
     return view.get(key)
@@ -106,20 +106,17 @@ def _op_delete(view: PartView, key: Any) -> bool:
 
 @shippable
 def _op_put_batch(view: PartView, batch: list) -> None:
-    for key, value in batch:
-        view.put(key, value)
+    PartOps.put_batch(view, batch)
 
 
 @shippable
 def _op_get_batch(view: PartView, keys: list) -> list:
-    get = view.get
-    return [get(key) for key in keys]
+    return PartOps.get_batch(view, keys)
 
 
 @shippable
 def _op_delete_batch(view: PartView, keys: list) -> None:
-    for key in keys:
-        view.delete(key)
+    PartOps.delete_batch(view, keys)
 
 
 @shippable
@@ -144,18 +141,12 @@ def _op_clear(view: PartView) -> None:
 
 @shippable
 def _op_checked_put(view: PartView, key: Any, value: Any, limit: int, name: str) -> None:
-    """A put enforcing the ubiquity limit collocated with the part."""
-    if len(view) >= limit and view.get(key) is None:
-        raise UbiquityViolationError(
-            f"ubiquitous table {name!r} exceeds its limit of {limit}"
-        )
-    view.put(key, value)
+    PartOps.checked_put(view, key, value, limit, name)
 
 
 @shippable
 def _op_checked_put_batch(view: PartView, batch: list, limit: int, name: str) -> None:
-    for key, value in batch:
-        _op_checked_put(view, key, value, limit, name)
+    PartOps.checked_put_batch(view, batch, limit, name)
 
 
 @shippable
@@ -165,11 +156,25 @@ def _enum_parts_op(part_index: int, view: PartView, consumer: PartConsumer) -> A
 
 @shippable
 def _enum_pairs_op(part_index: int, view: PartView, consumer: PairConsumer) -> Any:
-    consumer.setup_part(part_index)
-    for key, value in view.items():
-        if consumer.consume(key, value):
-            break
-    return consumer.finish_part(part_index)
+    return consume_items(part_index, view.items(), consumer)
+
+
+class _ShippedOps(PartOps):
+    """The ops a partitioned table routes.  ``clear`` is the part's own
+    (a journaled part records it as one entry)."""
+
+    get = staticmethod(_op_get)
+    put = staticmethod(_op_put)
+    delete = staticmethod(_op_delete)
+    checked_put = staticmethod(_op_checked_put)
+    put_batch = staticmethod(_op_put_batch)
+    checked_put_batch = staticmethod(_op_checked_put_batch)
+    get_batch = staticmethod(_op_get_batch)
+    delete_batch = staticmethod(_op_delete_batch)
+    length = staticmethod(_op_len)
+    clear = staticmethod(_op_clear)
+    process_part = staticmethod(_enum_parts_op)
+    consume_pairs = staticmethod(_enum_pairs_op)
 
 
 # -- process-mode part residency ---------------------------------------------
@@ -336,16 +341,6 @@ class _JournaledPart(_LockedPart):
             self._part.clear()  # type: ignore[attr-defined]
 
 
-class _Partition:
-    """One emulated partition: its lock and the local data of its parts."""
-
-    def __init__(self, index: int):
-        self.index = index
-        self.lock = threading.RLock()
-        # {table_name: {part_index: _LockedPart}}
-        self.parts: dict = {}
-
-
 class _PartHandle(PartView):
     """Parent-side proxy for a part resident in a worker process.
 
@@ -416,12 +411,14 @@ def _resolve_child_table(
 class _ChildTable(Table):
     """What a :class:`PartitionedTable` unpickles to in a worker process.
 
-    Locally-owned parts resolve straight out of the process registry;
-    operations on parts owned by sibling workers travel as upcalls —
-    pickled once here, routed verbatim by the parent.  Only the point,
-    batch, and size/clear surface is available: enumeration and
-    collocated dispatch stay parent-side where the placement map lives.
+    The same table front over a local-or-upcall back-end: locally-owned
+    parts resolve straight out of the process registry; operations on
+    parts owned by sibling workers travel as upcalls — pickled once here,
+    routed verbatim by the parent.  Enumeration and collocated dispatch
+    stay parent-side where the placement map lives.
     """
+
+    _ops = _ShippedOps
 
     def __init__(
         self, uid: str, name: str, n_parts: int, ordered: bool, key_hash: Any, n_partitions: int
@@ -461,147 +458,50 @@ class _ChildTable(Table):
         payload = pickle.dumps((fn, (pointer, *args)), protocol=pickle.HIGHEST_PROTOCOL)
         return child_upcall_async(part_index, False, payload)
 
-    # -- point operations ----------------------------------------------------
-    def get(self, key: Any) -> Any:
-        part_index = self.part_of(key)
+    # -- the part back-end ---------------------------------------------------
+    def _call(self, part_index: int, op: Callable[..., Any], *args: Any, readonly: bool = False) -> Any:
         local = self._local_part(part_index)
         if local is not None:
-            return local.get(key)
-        return self._remote(part_index, _op_get, key).result()
+            return op(local, *args)
+        return self._remote(part_index, op, *args).result()
 
-    def put(self, key: Any, value: Any) -> None:
-        part_index = self.part_of(key)
+    def _submit(self, part_index: int, op: Callable[..., Any], *args: Any, readonly: bool = False) -> Future:
         local = self._local_part(part_index)
         if local is not None:
-            local.put(key, value)
-            return
-        self._remote(part_index, _op_put, key, value).result()
+            return run_to_future(op, local, *args)
+        return self._remote(part_index, op, *args)
 
-    def delete(self, key: Any) -> bool:
-        part_index = self.part_of(key)
-        local = self._local_part(part_index)
-        if local is not None:
-            return local.delete(key)
-        return bool(self._remote(part_index, _op_delete, key).result())
-
-    # -- bulk operations -----------------------------------------------------
-    def put_many_async(self, pairs: Iterable[tuple]) -> list:
-        by_part: dict = {}
-        part_of = self.part_of
-        for key, value in pairs:
-            by_part.setdefault(part_of(key), []).append((key, value))
-        futures = []
-        for part_index, batch in by_part.items():
-            local = self._local_part(part_index)
-            if local is not None:
-                try:
-                    _op_put_batch(local, batch)
-                except BaseException as exc:
-                    futures.append(completed_future(exception=exc))
-                else:
-                    futures.append(completed_future(None))
-            else:
-                futures.append(self._remote(part_index, _op_put_batch, batch))
-        return futures
-
-    def delete_many_async(self, keys: Iterable[Any]) -> list:
-        by_part: dict = {}
-        part_of = self.part_of
-        for key in keys:
-            by_part.setdefault(part_of(key), []).append(key)
-        futures = []
-        for part_index, batch in by_part.items():
-            local = self._local_part(part_index)
-            if local is not None:
-                try:
-                    _op_delete_batch(local, batch)
-                except BaseException as exc:
-                    futures.append(completed_future(exception=exc))
-                else:
-                    futures.append(completed_future(None))
-            else:
-                futures.append(self._remote(part_index, _op_delete_batch, batch))
-        return futures
-
-    def get_many(self, keys: Iterable[Any]) -> dict:
-        by_part: dict = {}
-        part_of = self.part_of
-        for key in keys:
-            by_part.setdefault(part_of(key), []).append(key)
-        out: dict = {}
-        remote: dict = {}
-        for part_index, part_keys in by_part.items():
-            local = self._local_part(part_index)
-            if local is not None:
-                out.update(zip(part_keys, _op_get_batch(local, part_keys)))
-            else:
-                remote[part_index] = self._remote(part_index, _op_get_batch, part_keys)
-        for part_index, future in remote.items():
-            out.update(zip(by_part[part_index], future.result()))
-        return out
-
-    # -- whole-table helpers -------------------------------------------------
-    def size(self) -> int:
-        total = 0
-        remote = []
-        for part_index in range(self._n_parts):
-            local = self._local_part(part_index)
-            if local is not None:
-                total += len(local)
-            else:
-                remote.append(self._remote(part_index, _op_len))
-        return total + sum(future.result() for future in remote)
-
-    def clear(self) -> None:
-        remote = []
-        for part_index in range(self._n_parts):
-            local = self._local_part(part_index)
-            if local is not None:
-                local.clear()
-            else:
-                remote.append(self._remote(part_index, _op_clear))
-        for future in remote:
-            future.result()
-
-    # -- unsupported in a worker process -------------------------------------
-    def enumerate_parts(self, consumer: PartConsumer, parts: Optional[Iterable[int]] = None) -> Any:
+    def _view(self, *_: Any) -> PartView:
         raise ShippingError(
-            f"table {self.name!r}: enumeration is parent-side only in a worker process"
+            f"table {self.name!r}: enumeration and collocated dispatch are "
+            "parent-side only in a worker process"
         )
 
-    def enumerate_pairs(self, consumer: PairConsumer, parts: Optional[Iterable[int]] = None) -> Any:
-        raise ShippingError(
-            f"table {self.name!r}: enumeration is parent-side only in a worker process"
-        )
-
-    def run_collocated(self, part_index: int, fn: Callable[[int, PartView], Any]) -> Any:
-        raise ShippingError(
-            f"table {self.name!r}: collocated dispatch is parent-side only in a worker process"
-        )
+    _gather = _view  # the long lane is parent-side too
 
 
 class PartitionedTable(Table):
     """A table whose parts are spread over the store's partitions."""
 
+    _ops = _ShippedOps
+
     def __init__(self, spec: TableSpec, n_parts: int, store: "PartitionedKVStore"):
-        super().__init__(spec, n_parts)
-        self._store = store
-        self._dropped = False
+        super().__init__(spec, n_parts, store)
         # The registry key for process-resident parts: a fresh uid per
         # table object, so a dropped-and-recreated table can never see
         # the dropped incarnation's data.
         self._uid = uuid.uuid4().hex
-        self._views: list = []
         if store._process_mode:
             # Parts live resident in their owner process (created there
             # on first touch); the parent only holds proxies.
-            self._views = [_PartHandle(self, i) for i in range(n_parts)]
-            return
-        for part_index in range(n_parts):
-            partition = store._partition_for(part_index)
-            view = _LockedPart(make_part(spec.ordered), partition.lock)
-            partition.parts.setdefault(spec.name, {})[part_index] = view
-            self._views.append(view)
+            self._views: list = [_PartHandle(self, i) for i in range(n_parts)]
+        else:
+            # a part shares the lock of the partition serving it
+            locks, worker_of = store._partition_locks, store.runtime.worker_of
+            self._views = [
+                _LockedPart(make_part(spec.ordered), locks[worker_of(i)])
+                for i in range(n_parts)
+            ]
 
     def __reduce__(self):
         if self._store._process_mode:
@@ -623,18 +523,12 @@ class PartitionedTable(Table):
             f"PartitionedTable {self.name!r} only pickles under a process runtime"
         )
 
-    # -- routing ---------------------------------------------------------
-    def _check(self) -> None:
-        if self._dropped:
-            raise TableDroppedError(self.name)
+    # -- the part back-end ---------------------------------------------------
+    def _view(self, part_index: int) -> PartView:
+        return self._views[part_index]
 
-    def _partition_index(self, part_index: int) -> int:
-        return self._store.runtime.worker_of(part_index)
-
-    def _call_short(
-        self, part_index: int, fn: Callable[..., Any], *args: Any, readonly: bool = False
-    ) -> Any:
-        """Run *fn(view, *args)* on the part's short lane.
+    def _call(self, part_index: int, op: Callable[..., Any], *args: Any, readonly: bool = False) -> Any:
+        """Run *op(view, *args)* on the part's short lane.
 
         Marshals arguments and result when crossing partitions; runs
         inline without marshalling when already local.  With
@@ -643,28 +537,23 @@ class PartitionedTable(Table):
         handing it the caller's immutable objects cannot leak aliases —
         that halves the marshalling of every cross-partition read.
         """
-        self._check()
         runtime = self._store.runtime
-        pidx = runtime.worker_of(part_index)
         view = self._views[part_index]
         if self._store._process_mode:
             # Crossing a real address space *is* the marshalling; no
             # emulation roundtrips.  Shippable ops run in the owner
             # process, anything else runs parent-side against the
             # handle (which ships each primitive itself).
-            return runtime.submit(part_index, fn, view, *args).result()
-        if runtime.current_worker() == pidx:
-            return fn(view, *args)
+            return runtime.submit(part_index, op, view, *args).result()
+        if runtime.current_worker() == runtime.worker_of(part_index):
+            return op(view, *args)
         codec = self._store._codec
         remote_args = codec.roundtrip(args) if (args and not readonly) else args
-        future = runtime.submit(part_index, fn, view, *remote_args)
-        result = future.result()
+        result = runtime.submit(part_index, op, view, *remote_args).result()
         return codec.roundtrip(result) if result is not None else None
 
-    def _submit_short(
-        self, part_index: int, fn: Callable[..., Any], *args: Any, readonly: bool = False
-    ) -> Future:
-        """Non-blocking :meth:`_call_short`: dispatch now, gather later.
+    def _submit(self, part_index: int, op: Callable[..., Any], *args: Any, readonly: bool = False) -> Future:
+        """Non-blocking :meth:`_call`: dispatch now, gather later.
 
         Arguments are marshalled once, on the caller's thread, before
         dispatch (so later mutation by the caller cannot race the
@@ -674,212 +563,68 @@ class PartitionedTable(Table):
         is a single FIFO worker — which is what the spill transport's
         per-(src, dest) ordering relies on.
         """
-        self._check()
         runtime = self._store.runtime
-        pidx = runtime.worker_of(part_index)
         view = self._views[part_index]
         if self._store._process_mode:
-            return runtime.submit(part_index, fn, view, *args)
-        if runtime.current_worker() == pidx:
-            try:
-                return completed_future(fn(view, *args))
-            except BaseException as exc:
-                return completed_future(exception=exc)
+            return runtime.submit(part_index, op, view, *args)
+        if runtime.current_worker() == runtime.worker_of(part_index):
+            return run_to_future(op, view, *args)
         codec = self._store._codec
         remote_args = codec.roundtrip(args) if (args and not readonly) else args
-        inner = runtime.submit(part_index, fn, view, *remote_args)
+        inner = runtime.submit(part_index, op, view, *remote_args)
         outer: Future = Future()
 
         def _marshal_result(done: Future) -> None:
             try:
                 result = done.result()
+                outer.set_result(codec.roundtrip(result) if result is not None else None)
             except BaseException as exc:
                 outer.set_exception(exc)
-            else:
-                try:
-                    outer.set_result(
-                        codec.roundtrip(result) if result is not None else None
-                    )
-                except BaseException as exc:
-                    outer.set_exception(exc)
 
         inner.add_done_callback(_marshal_result)
         return outer
 
-    def _call_long(self, part_index: int, fn: Callable[..., Any], *args: Any) -> Any:
-        """Run *fn(part_index, view, *args)* on the runtime's long pool."""
-        self._check()
+    def _send_batch(self, part_index: int, op: Callable[..., Any], batch: list, readonly: bool = False) -> Future:
+        """One marshalled request per per-part batch; a batch crossing
+        partitions counts as one batched request."""
         runtime = self._store.runtime
-        view = self._views[part_index]
-        if self._store._process_mode:
-            return runtime.submit_long(part_index, fn, part_index, view, *args).result()
-        if runtime.current_worker() == runtime.worker_of(part_index):
-            return fn(part_index, view, *args)
-        codec = self._store._codec
-        future = runtime.submit_long(part_index, fn, part_index, view, *args)
-        result = future.result()
-        return codec.roundtrip(result) if result is not None else None
+        if runtime.worker_of(part_index) != runtime.current_worker():
+            self._store.stats.record_batch(len(batch))
+        return self._submit(part_index, op, batch, readonly=readonly)
 
-    def _submit_long(self, part_index: int, fn: Callable[..., Any], *args: Any) -> Future:
-        """Asynchronously dispatch a long op; caller gathers the future."""
-        self._check()
-        view = self._views[part_index]
-        return self._store.runtime.submit_long(part_index, fn, part_index, view, *args)
-
-    # -- point operations ---------------------------------------------------
-    def get(self, key: Any) -> Any:
-        return self._call_short(self.part_of(key), _op_get, key, readonly=True)
-
-    def put(self, key: Any, value: Any) -> None:
-        self._check()
-        self.note_mutation()
-        if self.ubiquitous:
-            # The limit check runs collocated with the (single) part —
-            # ubiquitous tables have exactly one part, so the part's
-            # length is the table size — and one put costs one
-            # cross-partition request instead of three (size + get + put).
-            self._call_short(
-                self.part_of(key),
-                _op_checked_put,
-                key,
-                value,
-                self.spec.ubiquity_limit,
-                self.name,
-            )
-            return
-        self._call_short(self.part_of(key), _op_put, key, value)
-
-    def delete(self, key: Any) -> bool:
-        self.note_mutation()
-        return bool(
-            self._call_short(self.part_of(key), _op_delete, key, readonly=True)
-        )
-
-    def put_async(self, key: Any, value: Any) -> Future:
-        """Dispatch a put without waiting; the future resolves when applied."""
-        self.note_mutation()
-        if self.ubiquitous:
-            return self._submit_short(
-                self.part_of(key),
-                _op_checked_put,
-                key,
-                value,
-                self.spec.ubiquity_limit,
-                self.name,
-            )
-        return self._submit_short(self.part_of(key), _op_put, key, value)
-
-    def delete_async(self, key: Any) -> Future:
-        self.note_mutation()
-        return self._submit_short(self.part_of(key), _op_delete, key, readonly=True)
-
-    # -- bulk operations ----------------------------------------------------
-    def put_many(self, pairs: Iterable[tuple]) -> None:
-        """Batch puts: one marshalled request per touched part, all parts
-        dispatched concurrently, gathered before returning."""
-        pairs, span = self._batch_span("store.put_many", pairs)
-        with span:
-            for future in self.put_many_async(pairs):
-                future.result()
-
-    def put_many_async(self, pairs: Iterable[tuple]) -> list:
-        """Dispatch per-part put batches concurrently; returns the futures.
-
-        Each per-part batch is pickled *once* (one request), not per
-        record, and all touched parts transfer in parallel.
-        """
-        self._check()
-        self.note_mutation()
-        if self.ubiquitous:
-            batch = list(pairs)
-            if not batch:
-                return []
-            return [
-                self._submit_short(
-                    0, _op_checked_put_batch, batch, self.spec.ubiquity_limit, self.name
-                )
-            ]
-        by_part: dict = {}
-        part_of = self.part_of
-        for key, value in pairs:
-            by_part.setdefault(part_of(key), []).append((key, value))
-        here = self._store.runtime.current_worker()
-        stats = self._store.stats
-        futures = []
-        for part_index, batch in by_part.items():
-            if self._partition_index(part_index) != here:
-                stats.record_batch(len(batch))
-            futures.append(self._submit_short(part_index, _op_put_batch, batch))
-        return futures
-
-    def delete_many(self, keys: Iterable[Any]) -> None:
-        """Batch deletes: one marshalled request per touched part."""
-        keys, span = self._batch_span("store.delete_many", keys)
-        with span:
-            for future in self.delete_many_async(keys):
-                future.result()
-
-    def delete_many_async(self, keys: Iterable[Any]) -> list:
-        """Dispatch per-part delete batches concurrently; returns futures."""
-        self._check()
-        self.note_mutation()
-        by_part: dict = {}
-        part_of = self.part_of
-        for key in keys:
-            by_part.setdefault(part_of(key), []).append(key)
-        here = self._store.runtime.current_worker()
-        stats = self._store.stats
-        futures = []
-        for part_index, batch in by_part.items():
-            if self._partition_index(part_index) != here:
-                stats.record_batch(len(batch))
-            futures.append(
-                self._submit_short(part_index, _op_delete_batch, batch, readonly=True)
-            )
-        return futures
-
-    def get_many(self, keys: Iterable[Any]) -> dict:
-        """Batch gets: one readonly request per touched part, concurrent."""
-        self._check()
-        keys, span = self._batch_span("store.get_many", keys)
-        with span:
-            return self._get_many_batched(keys)
-
-    def _get_many_batched(self, keys: Iterable[Any]) -> dict:
-        by_part: dict = {}
-        part_of = self.part_of
-        for key in keys:
-            by_part.setdefault(part_of(key), []).append(key)
-        here = self._store.runtime.current_worker()
-        stats = self._store.stats
-        futures = {}
-        for part_index, part_keys in by_part.items():
-            if self._partition_index(part_index) != here:
-                stats.record_batch(len(part_keys))
-            futures[part_index] = self._submit_short(
-                part_index, _op_get_batch, part_keys, readonly=True
-            )
-        out: dict = {}
-        for part_index, part_keys in by_part.items():
-            out.update(zip(part_keys, futures[part_index].result()))
-        return out
-
-    # -- enumeration -----------------------------------------------------------
-    def enumerate_parts(self, consumer: PartConsumer, parts: Optional[Iterable[int]] = None) -> Any:
-        self._check()
-        indices = list(range(self.n_parts)) if parts is None else sorted(set(parts))
-        if self._store._process_mode and getattr(consumer, CONSUMER_SHIP_ATTR, False):
-            # The consumer opted into running *in* the part's owner
-            # process (the sync engine's shipped part-steps): one pickle
-            # of the consumer per part, all workers computing at once,
-            # per-part results folded parent-side.
-            futures = [self._submit_long(i, _enum_parts_op, consumer) for i in indices]
-            return fold_part_results(consumer, [f.result() for f in futures])
-
-        def _run(part_index: int, view: PartView) -> Any:
-            return consumer.process_part(part_index, view)
-
-        return fold_part_results(consumer, self._gather_long(indices, _run))
+    def _gather(self, indices: list, fn: Callable[..., Any], *args: Any) -> list:
+        store = self._store
+        runtime = store.runtime
+        if store._process_mode:
+            if fn is PartOps.consume_pairs:
+                # A parent-side pairs consumer is a shared object, usually
+                # a stateful closure, and each remote view touch is a pipe
+                # round-trip — wide enough a window for part callbacks to
+                # interleave.  Snapshot the resident parts concurrently,
+                # then consume serially in part order so each part's
+                # setup/consume/finish sequence stays contiguous.
+                snapshots = [runtime.submit(i, _op_items, self._views[i]) for i in indices]
+                return [
+                    consume_items(i, future.result(), *args)
+                    for i, future in zip(indices, snapshots)
+                ]
+            if is_shippable(fn):
+                # a shipped task runs in the part's owner process, wherever
+                # the caller is; its result is already a cross-process copy
+                futures = [
+                    runtime.submit_long(i, fn, i, self._views[i], *args) for i in indices
+                ]
+                return [future.result() for future in futures]
+            return super()._gather(indices, fn, *args)
+        here = runtime.current_worker()
+        codec = store._codec
+        # results from other partitions cross the boundary like any message
+        return [
+            codec.roundtrip(result)
+            if result is not None and runtime.worker_of(i) != here
+            else result
+            for i, result in zip(indices, super()._gather(indices, fn, *args))
+        ]
 
     def submit_part_steps(
         self, consumer: PartConsumer, parts: Optional[Iterable[int]] = None
@@ -898,103 +643,11 @@ class PartitionedTable(Table):
                 f"table {self.name!r}: submit_part_steps needs a process runtime "
                 "and a shippable consumer"
             )
-        indices = list(range(self.n_parts)) if parts is None else sorted(set(parts))
-        return {i: self._submit_long(i, _enum_parts_op, consumer) for i in indices}
-
-    def enumerate_pairs(self, consumer: PairConsumer, parts: Optional[Iterable[int]] = None) -> Any:
-        self._check()
-        indices = list(range(self.n_parts)) if parts is None else sorted(set(parts))
-        if self._store._process_mode and getattr(consumer, CONSUMER_SHIP_ATTR, False):
-            futures = [self._submit_long(i, _enum_pairs_op, consumer) for i in indices]
-            return fold_part_results(consumer, [f.result() for f in futures])
-        if self._store._process_mode:
-            # Fallback consumers are shared parent-side objects, usually
-            # stateful closures, and each remote view touch is a pipe
-            # round-trip — wide enough a window for part callbacks to
-            # interleave.  Snapshot the resident parts concurrently,
-            # then run the consumer serially in part order so each
-            # part's setup/consume/finish sequence stays contiguous.
-            runtime = self._store.runtime
-            snapshots = [
-                runtime.submit(i, _op_items, self._views[i]) for i in indices
-            ]
-            results = []
-            for part_index, future in zip(indices, snapshots):
-                consumer.setup_part(part_index)
-                for key, value in future.result():
-                    if consumer.consume(key, value):
-                        break
-                results.append(consumer.finish_part(part_index))
-            return fold_part_results(consumer, results)
-
-        def _run(part_index: int, view: PartView) -> Any:
-            consumer.setup_part(part_index)
-            for key, value in view.items():
-                if consumer.consume(key, value):
-                    break
-            return consumer.finish_part(part_index)
-
-        return fold_part_results(consumer, self._gather_long(indices, _run))
-
-    def _gather_long(self, indices: list, fn: Callable[[int, PartView], Any]) -> list:
-        """Run *fn* on each part's long slot concurrently and gather.
-
-        Parts living on the calling thread's own partition run inline —
-        waiting on our own serialized long slot would deadlock.
-        """
-        here = self._store.runtime.current_worker()
-        process_mode = self._store._process_mode
-        codec = self._store._codec
-        futures: dict = {}
-        inline: dict = {}
-        for i in indices:
-            if self._partition_index(i) == here:
-                # Waiting on our own serialized long slot would deadlock;
-                # under a process runtime the view is a handle, so the
-                # part's data still lives (and stays) with its owner.
-                inline[i] = fn(i, self._views[i])
-            else:
-                futures[i] = self._submit_long(i, fn)
-        results = []
-        for i in indices:
-            if i in inline:
-                results.append(inline[i])
-            else:
-                result = futures[i].result()
-                if process_mode:
-                    results.append(result)  # already a cross-process copy
-                else:
-                    # results cross the partition boundary like any message
-                    results.append(
-                        codec.roundtrip(result) if result is not None else None
-                    )
-        return results
-
-    # -- collocated compute --------------------------------------------------
-    def run_collocated(self, part_index: int, fn: Callable[[int, PartView], Any]) -> Any:
-        if not 0 <= part_index < self.n_parts:
-            raise IndexError(f"part {part_index} out of range for {self.name!r}")
-        return self._call_long(part_index, fn)
-
-    def submit_collocated(self, part_index: int, fn: Callable[[int, PartView], Any]) -> Future:
-        """Asynchronous variant of :meth:`run_collocated` (store extension)."""
-        if not 0 <= part_index < self.n_parts:
-            raise IndexError(f"part {part_index} out of range for {self.name!r}")
-        return self._submit_long(part_index, fn)
-
-    # -- whole-table helpers ------------------------------------------------------
-    def size(self) -> int:
-        self._check()
-        return sum(len(view) for view in self._views)
-
-    def clear(self) -> None:
-        self._check()
-        self.note_mutation()
-        for view in self._views:
-            view.clear()
-
-    def _mark_dropped(self) -> None:
-        self._dropped = True
+        runtime = self._store.runtime
+        return {
+            i: runtime.submit_long(i, _enum_parts_op, i, self._views[i], consumer)
+            for i in self._part_indices(parts)
+        }
 
 
 class PartitionedKVStore(KVStore):
@@ -1030,15 +683,13 @@ class PartitionedKVStore(KVStore):
     ):
         if n_partitions <= 0:
             raise ValueError("n_partitions must be positive")
+        super().__init__(default_n_parts if default_n_parts is not None else n_partitions)
         self.n_partitions = n_partitions
         self.runtime = resolve_runtime(runtime, n_workers=n_partitions, name="part")
-        self._default_n_parts = default_n_parts if default_n_parts is not None else n_partitions
-        self._partitions = [_Partition(i) for i in range(n_partitions)]
-        self._tables: dict = {}
-        self._lock = threading.Lock()
+        # one lock per emulated partition, shared by the parts it serves
+        self._partition_locks = [threading.RLock() for _ in range(n_partitions)]
         self.stats = SerdeStats()
         self._codec = Codec(self.stats)
-        self._closed = False
         # Workers in another address space: parts live with their owner
         # process, parent-side views are handles, and engines may ship
         # whole part-steps (``ships_compute``).
@@ -1047,7 +698,6 @@ class PartitionedKVStore(KVStore):
         if self._process_mode:
             self.runtime.attach_serde_stats(self.stats)
         self.crash_tolerance = False
-        self._tables_by_uid: dict = {}
         # Live migration: whether the override-repush rebuild hook is
         # installed, and an optional test hook fired at named points of
         # the migration protocol (fault-injection seam).
@@ -1101,7 +751,7 @@ class PartitionedKVStore(KVStore):
         """
         runtime = self.runtime
         with self._lock:
-            tables = list(self._tables_by_uid.values())
+            tables = list(self._tables.values())
         futures = []
         with runtime.bypassing_gates():
             for table in tables:
@@ -1132,7 +782,7 @@ class PartitionedKVStore(KVStore):
         """
         runtime = self.runtime
         with self._lock:
-            tables = list(self._tables_by_uid.values())
+            tables = list(self._tables.values())
         for table in tables:
             for part_index in range(table.n_parts):
                 if runtime.worker_of(part_index) != worker:
@@ -1296,35 +946,11 @@ class PartitionedKVStore(KVStore):
         except Exception:
             pass
 
-    @property
-    def default_n_parts(self) -> int:
-        return self._default_n_parts
+    # -- the catalog's hooks ---------------------------------------------------
+    def _open_table(self, spec: TableSpec, n_parts: int) -> Table:
+        return PartitionedTable(spec, n_parts, self)
 
-    def _partition_for(self, part_index: int) -> _Partition:
-        return self._partitions[self.runtime.worker_of(part_index)]
-
-    def create_table(self, spec: TableSpec) -> Table:
-        n_parts = resolve_n_parts(spec, self)
-        with self._lock:
-            if spec.name in self._tables:
-                raise TableExistsError(spec.name)
-            table = PartitionedTable(spec, n_parts, self)
-            self._tables[spec.name] = table
-            if self.crash_tolerance:
-                self._tables_by_uid[table._uid] = table
-            return table
-
-    def drop_table(self, name: str) -> None:
-        with self._lock:
-            table = self._tables.pop(name, None)
-            if table is not None:
-                self._tables_by_uid.pop(table._uid, None)
-        if table is None:
-            raise NoSuchTableError(name)
-        table._mark_dropped()
-        for partition in self._partitions:
-            with partition.lock:
-                partition.parts.pop(name, None)
+    def _release_table(self, table: Table) -> None:
         if self.crash_tolerance:
             with self._mirror_lock:
                 for key in [k for k in self._mirrors if k[0] == table._uid]:
@@ -1344,26 +970,3 @@ class PartitionedKVStore(KVStore):
                     ).result(timeout=5)
                 except Exception:
                     pass
-
-    def get_table(self, name: str) -> Table:
-        with self._lock:
-            table = self._tables.get(name)
-        if table is None:
-            raise NoSuchTableError(name)
-        return table
-
-    def list_tables(self) -> list:
-        with self._lock:
-            return sorted(self._tables)
-
-    def close(self) -> None:
-        """Drain every pending async write, then stop the workers.
-
-        Idempotent.  In-flight ``put_async``/``put_many_async``
-        dispatches are applied before the workers exit — closing the
-        store never drops acknowledged-to-future writes.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self.runtime.close(wait=True)

@@ -13,25 +13,22 @@ same SPI surface with durable storage:
   the property the durability tests pin down.
 
 Parallelism is intentionally absent (like :class:`LocalKVStore`); the
-point of this store is portability and durability, not speed.
+point of this store is portability and durability, not speed.  Its part
+back-end is the durable view: every write is applied and logged, and the
+writes of one table operation (a whole per-part ``put_many`` batch, say)
+share one log flush.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import shutil
 import struct
 import threading
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
-from repro.errors import (
-    NoSuchTableError,
-    TableDroppedError,
-    TableExistsError,
-    UbiquityViolationError,
-)
-from repro.kvstore.api import KVStore, PairConsumer, PartConsumer, PartView, Table, TableSpec
-from repro.kvstore.local import fold_part_results, resolve_n_parts
+from repro.kvstore.api import KVStore, PartView, Table, TableSpec
 from repro.kvstore.memory_table import make_part
 from repro.runtime import RuntimeSpec, resolve_runtime
 from repro.serde import SerdeStats
@@ -102,26 +99,13 @@ class _DiskPart:
             else:
                 self.view.delete(key)
 
-    def put(self, key: Any, value: Any) -> None:
-        with self.lock:
-            self.view.put(key, value)
-            _append_record(self._log, ("put", key, value), self.stats)
-
-    def put_batch(self, pairs: list) -> None:
-        """Apply and log a whole batch with a single log flush."""
-        with self.lock:
-            for key, value in pairs:
-                self.view.put(key, value)
-            _append_batch(
-                self._log, (("put", key, value) for key, value in pairs), self.stats
-            )
-
-    def delete(self, key: Any) -> bool:
-        with self.lock:
-            present = self.view.delete(key)
-            if present:
-                _append_record(self._log, ("del", key, None), self.stats)
-            return present
+    def log(self, records: list) -> None:
+        """Append *records* with a single log flush (the log-write analog
+        of one marshalled request); a multi-record flush counts as one
+        batched request."""
+        if len(records) > 1 and self.stats is not None:
+            self.stats.record_batch(len(records))
+        _append_batch(self._log, records, self.stats)
 
     def flush(self) -> None:
         """Write the whole part as one sorted segment; truncate the log."""
@@ -141,134 +125,76 @@ class _DiskPart:
             self._log.close()
 
 
+class _DurableView(PartView):
+    """A part view whose writes go through the log.
+
+    Each write is logged on its own (mobile code, enumerations) or — given
+    a *records* buffer — collected for one flush when the table operation
+    that owns the buffer ends.
+    """
+
+    __slots__ = ("_part", "_records")
+
+    def __init__(self, part: _DiskPart, records: Optional[list] = None):
+        self._part = part
+        self._records = records
+
+    def _log(self, record: tuple) -> None:
+        if self._records is not None:
+            self._records.append(record)
+        else:
+            self._part.log([record])
+
+    def get(self, key: Any) -> Any:
+        return self._part.view.get(key)
+
+    def put(self, key: Any, value: Any) -> None:
+        with self._part.lock:
+            self._part.view.put(key, value)
+            self._log(("put", key, value))
+
+    def delete(self, key: Any) -> bool:
+        with self._part.lock:
+            present = self._part.view.delete(key)
+            if present:
+                self._log(("del", key, None))
+            return present
+
+    def items(self) -> Iterator[tuple]:
+        return self._part.view.items()
+
+    def range_items(self, lo: Any = None, hi: Any = None) -> Iterator[tuple]:
+        return self._part.view.range_items(lo, hi)
+
+    def __len__(self) -> int:
+        return len(self._part.view)
+
+
 class PersistentTable(Table):
     """A disk-backed table."""
 
     def __init__(self, spec: TableSpec, n_parts: int, store: "PersistentKVStore"):
-        super().__init__(spec, n_parts)
-        self._store = store
-        self._dropped = False
+        super().__init__(spec, n_parts, store)
         base = os.path.join(store.directory, "tables", spec.name)
         self._parts = [
             _DiskPart(os.path.join(base, f"part-{i:04d}"), spec.ordered, store.stats)
             for i in range(n_parts)
         ]
 
-    def _check(self) -> None:
-        if self._dropped:
-            raise TableDroppedError(self.name)
+    def _view(self, part_index: int) -> PartView:
+        return _DurableView(self._parts[part_index])
 
-    def get(self, key: Any) -> Any:
-        self._check()
-        return self._parts[self.part_of(key)].view.get(key)
-
-    def put(self, key: Any, value: Any) -> None:
-        self._check()
-        if self.ubiquitous and self.size() >= self.spec.ubiquity_limit and self.get(key) is None:
-            raise UbiquityViolationError(
-                f"ubiquitous table {self.name!r} exceeds its limit of {self.spec.ubiquity_limit}"
-            )
-        self.note_mutation()
-        self._parts[self.part_of(key)].put(key, value)
-
-    def delete(self, key: Any) -> bool:
-        self._check()
-        self.note_mutation()
-        return self._parts[self.part_of(key)].delete(key)
-
-    # -- bulk operations --------------------------------------------------
-    def put_many(self, pairs: Iterable[tuple]) -> None:
-        """Group per part and log each part's batch with one disk flush."""
-        self._check()
-        self.note_mutation()
-        pairs, span = self._batch_span("store.put_many", pairs)
-        with span:
-            if self.ubiquitous:
-                for key, value in pairs:
-                    self.put(key, value)
-                return
-            by_part: dict = {}
-            part_of = self.part_of
-            for key, value in pairs:
-                by_part.setdefault(part_of(key), []).append((key, value))
-            for part_index, batch in by_part.items():
-                self._store.stats.record_batch(len(batch))
-                self._parts[part_index].put_batch(batch)
-
-    def get_many(self, keys: Iterable[Any]) -> dict:
-        self._check()
-        keys, span = self._batch_span("store.get_many", keys)
-        with span:
-            parts = self._parts
-            part_of = self.part_of
-            return {key: parts[part_of(key)].view.get(key) for key in keys}
-
-    def delete_many(self, keys: Iterable[Any]) -> None:
-        """Batch deletes grouped per part (one log append per key)."""
-        self._check()
-        self.note_mutation()
-        keys, span = self._batch_span("store.delete_many", keys)
-        with span:
-            parts = self._parts
-            part_of = self.part_of
-            for key in keys:
-                parts[part_of(key)].delete(key)
-
-    def enumerate_parts(self, consumer: PartConsumer, parts: Optional[Iterable[int]] = None) -> Any:
-        self._check()
-        indices = range(self.n_parts) if parts is None else sorted(set(parts))
-        runtime = self._store.runtime
-        futures = [
-            runtime.submit_long(i, consumer.process_part, i, self._parts[i].view)
-            for i in indices
-        ]
-        return fold_part_results(consumer, [f.result() for f in futures])
-
-    def enumerate_pairs(self, consumer: PairConsumer, parts: Optional[Iterable[int]] = None) -> Any:
-        self._check()
-        indices = range(self.n_parts) if parts is None else sorted(set(parts))
-
-        def _run(part_index: int, view: PartView) -> Any:
-            consumer.setup_part(part_index)
-            for key, value in view.items():
-                if consumer.consume(key, value):
-                    break
-            return consumer.finish_part(part_index)
-
-        runtime = self._store.runtime
-        futures = [
-            runtime.submit_long(i, _run, i, self._parts[i].view) for i in indices
-        ]
-        return fold_part_results(consumer, [f.result() for f in futures])
-
-    def run_collocated(self, part_index: int, fn: Callable[[int, PartView], Any]) -> Any:
-        self._check()
-        if not 0 <= part_index < self.n_parts:
-            raise IndexError(f"part {part_index} out of range for {self.name!r}")
-        return self._store.runtime.submit_long(
-            part_index, fn, part_index, self._DurableView(self._parts[part_index])
-        ).result()
-
-    class _DurableView(PartView):
-        """Part view whose writes go through the log (handed to mobile code)."""
-
-        def __init__(self, part: _DiskPart):
-            self._part = part
-
-        def get(self, key: Any) -> Any:
-            return self._part.view.get(key)
-
-        def put(self, key: Any, value: Any) -> None:
-            self._part.put(key, value)
-
-        def delete(self, key: Any) -> bool:
-            return self._part.delete(key)
-
-        def items(self):
-            return self._part.view.items()
-
-        def __len__(self) -> int:
-            return len(self._part.view)
+    def _call(self, part_index: int, op: Callable[..., Any], *args: Any, readonly: bool = False) -> Any:
+        part = self._parts[part_index]
+        records: list = []
+        with part.lock:
+            try:
+                return op(_DurableView(part, records), *args)
+            finally:
+                # whatever the op applied is logged, even when it failed
+                # part-way, so memory and log never disagree
+                if records:
+                    part.log(records)
 
     def flush(self) -> None:
         """Flush all parts to sorted segments."""
@@ -276,23 +202,9 @@ class PersistentTable(Table):
         for part in self._parts:
             part.flush()
 
-    def size(self) -> int:
-        self._check()
-        return sum(len(p.view) for p in self._parts)
-
-    def clear(self) -> None:
-        self._check()
-        self.note_mutation()
-        for part in self._parts:
-            for key, _ in part.view.items():
-                part.delete(key)
-
     def _close(self) -> None:
         for part in self._parts:
             part.close()
-
-    def _mark_dropped(self) -> None:
-        self._dropped = True
 
 
 class PersistentKVStore(KVStore):
@@ -309,34 +221,25 @@ class PersistentKVStore(KVStore):
         default_n_parts: int = 4,
         runtime: RuntimeSpec = None,
     ):
-        if default_n_parts <= 0:
-            raise ValueError("default_n_parts must be positive")
+        super().__init__(default_n_parts)
         self.directory = directory
-        self._default_n_parts = default_n_parts
         # Durability, not parallelism, is this store's point — collocated
         # work defaults to running inline on the caller.
         self.runtime = resolve_runtime(
             runtime, n_workers=default_n_parts, name="disk", default="inline"
         )
-        self._tables: dict = {}
-        self._lock = threading.Lock()
         #: Log/segment I/O counters: marshals = framed records written,
-        #: unmarshals = records replayed at recovery, batches = put_many
-        #: batches flushed with a single disk sync.
+        #: unmarshals = records replayed at recovery, batches = log
+        #: writes covering several records with a single disk flush.
         self.stats = SerdeStats()
-        self._closed = False
         os.makedirs(directory, exist_ok=True)
         self._meta_path = os.path.join(directory, self._META)
         for spec, n_parts in _read_records(self._meta_path):
             if spec.name not in self._tables:
                 self._tables[spec.name] = PersistentTable(spec, n_parts, self)
 
-    @property
-    def default_n_parts(self) -> int:
-        return self._default_n_parts
-
     def _persist_meta(self) -> None:
-        """Write the table catalog.
+        """Write the table catalog (caller holds the catalog lock).
 
         Tables with a custom ``key_hash`` are *ephemeral*: a function
         cannot be persisted, so they are excluded from the catalog and
@@ -350,54 +253,30 @@ class PersistentKVStore(KVStore):
                     _append_record(fh, (table.spec, table.n_parts))
         os.replace(tmp, self._meta_path)
 
+    def _table_dir(self, name: str) -> str:
+        return os.path.join(self.directory, "tables", name)
+
+    def _open_table(self, spec: TableSpec, n_parts: int) -> Table:
+        if spec.key_hash is not None:
+            # ephemeral table: clear any orphaned data from a prior
+            # session so recovery does not resurrect stale entries
+            shutil.rmtree(self._table_dir(spec.name), ignore_errors=True)
+        return PersistentTable(spec, n_parts, self)
+
     def create_table(self, spec: TableSpec) -> Table:
-        n_parts = resolve_n_parts(spec, self)
+        table = super().create_table(spec)
         with self._lock:
-            if spec.name in self._tables:
-                raise TableExistsError(spec.name)
-            if spec.key_hash is not None:
-                # ephemeral table: clear any orphaned data from a prior
-                # session so recovery does not resurrect stale entries
-                import shutil
-
-                shutil.rmtree(
-                    os.path.join(self.directory, "tables", spec.name), ignore_errors=True
-                )
-            table = PersistentTable(spec, n_parts, self)
-            self._tables[spec.name] = table
             self._persist_meta()
-            return table
-
-    def drop_table(self, name: str) -> None:
-        with self._lock:
-            table = self._tables.pop(name, None)
-            if table is None:
-                raise NoSuchTableError(name)
-            table._mark_dropped()
-            table._close()
-            self._persist_meta()
-        import shutil
-
-        shutil.rmtree(os.path.join(self.directory, "tables", name), ignore_errors=True)
-
-    def get_table(self, name: str) -> Table:
-        with self._lock:
-            table = self._tables.get(name)
-        if table is None:
-            raise NoSuchTableError(name)
         return table
 
-    def list_tables(self) -> list:
+    def _release_table(self, table: Table) -> None:
+        table._close()
         with self._lock:
-            return sorted(self._tables)
+            self._persist_meta()
+        shutil.rmtree(self._table_dir(table.name), ignore_errors=True)
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        # Drain in-flight collocated work before closing the logs it may
-        # still be writing to.
-        self.runtime.close(wait=True)
+    def _release_store(self) -> None:
+        # the runtime has drained, so no collocated work still writes
         with self._lock:
             for table in self._tables.values():
                 table._close()

@@ -27,24 +27,21 @@ This module implements the closest synthetic equivalent:
   :class:`~repro.runtime.WorkerRuntime` — one runtime worker per
   shard, serialized one-at-a-time per shard — next to the primary
   replica.
+
+The part back-end is the replicating view: a table operation runs under
+its shard's lock against the primary, and the writes it made replicate
+as one batch (one marshal to the backups) when it ends; mobile code's
+writes replicate one by one, so they survive failover too.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
-from repro.errors import (
-    NoSuchTableError,
-    ShardFailedError,
-    TableDroppedError,
-    TableExistsError,
-    TransactionError,
-    UbiquityViolationError,
-)
-from repro.kvstore.api import KVStore, PairConsumer, PartConsumer, PartView, Table, TableSpec
-from repro.kvstore.local import fold_part_results, resolve_n_parts
+from repro.errors import ShardFailedError, TransactionError
+from repro.kvstore.api import KVStore, PartView, Table, TableSpec
 from repro.kvstore.memory_table import make_part
 from repro.runtime import RuntimeSpec, resolve_runtime
 from repro.serde import Codec, SerdeStats
@@ -115,23 +112,16 @@ class ReplicatedKVStore(KVStore):
             raise ValueError("n_shards must be positive")
         if replication < 0:
             raise ValueError("replication must be >= 0")
+        super().__init__(default_n_parts if default_n_parts is not None else n_shards)
         self.n_shards = n_shards
         self.runtime = resolve_runtime(runtime, n_workers=n_shards, name="shard")
         self.replication = replication
         self.sync_replication = sync_replication
-        self._default_n_parts = default_n_parts if default_n_parts is not None else n_shards
         self._shards = [_Shard(i, replication) for i in range(n_shards)]
-        self._tables: dict = {}
-        self._lock = threading.Lock()
         self.stats = SerdeStats()
         self._codec = Codec(self.stats)
-        self._closed = False
 
     # -- shard plumbing -----------------------------------------------------
-    @property
-    def default_n_parts(self) -> int:
-        return self._default_n_parts
-
     def shard_of_part(self, part_index: int) -> int:
         return part_index % self.n_shards
 
@@ -153,8 +143,15 @@ class ReplicatedKVStore(KVStore):
                 view.delete(key)
             else:
                 view.put(key, value)
+        self._replicate(shard, writes)
+
+    def _replicate(self, shard: _Shard, writes: list) -> None:
+        """Ship writes already applied to the primary to the backups as
+        one batch (one marshal).  Caller holds the shard lock."""
         if not shard.backups:
             return
+        if len(writes) > 1:
+            self.stats.record_batch(len(writes))
         batch_id = shard.next_batch
         shard.next_batch += 1
         marshalled = self._codec.dumps((batch_id, writes))
@@ -273,45 +270,16 @@ class ReplicatedKVStore(KVStore):
         """Open an atomic multi-table write batch on one shard."""
         return ShardTransaction(self, shard_index)
 
-    # -- KVStore interface ------------------------------------------------------
-    def create_table(self, spec: TableSpec) -> Table:
-        n_parts = resolve_n_parts(spec, self)
-        with self._lock:
-            if spec.name in self._tables:
-                raise TableExistsError(spec.name)
-            table = ReplicatedTable(spec, n_parts, self)
-            self._tables[spec.name] = table
-            return table
+    # -- the catalog's hooks ---------------------------------------------------
+    def _open_table(self, spec: TableSpec, n_parts: int) -> Table:
+        return ReplicatedTable(spec, n_parts, self)
 
-    def drop_table(self, name: str) -> None:
-        with self._lock:
-            table = self._tables.pop(name, None)
-        if table is None:
-            raise NoSuchTableError(name)
-        table._mark_dropped()
+    def _release_table(self, table: Table) -> None:
         for shard in self._shards:
             with shard.lock:
                 for replica in [shard.primary] + shard.backups:
-                    for key in [k for k in replica.parts if k[0] == name]:
+                    for key in [k for k in replica.parts if k[0] == table.name]:
                         del replica.parts[key]
-
-    def get_table(self, name: str) -> Table:
-        with self._lock:
-            table = self._tables.get(name)
-        if table is None:
-            raise NoSuchTableError(name)
-        return table
-
-    def list_tables(self) -> list:
-        with self._lock:
-            return sorted(self._tables)
-
-    def close(self) -> None:
-        """Drain pending collocated work, then stop the workers.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self.runtime.close(wait=True)
 
 
 class ShardTransaction:
@@ -379,43 +347,55 @@ class ShardTransaction:
 
 
 class _ReplicatingView(PartView):
-    """Part view whose writes go through the shard replication path.
+    """Part view whose writes apply to the primary and replicate.
 
-    Handed to collocated mobile code so that its mutations are durable
-    across primary failover, exactly like table-level operations.
+    Each write replicates on its own (mobile code, enumerations), so
+    collocated mutations survive failover exactly like table-level ones;
+    given a *writes* buffer, the writes collect there instead and
+    replicate as one batch when the table operation that owns the
+    buffer ends.
     """
 
-    __slots__ = ("_store", "_shard", "_table_name", "_part_index", "_ordered")
+    __slots__ = ("_store", "_shard", "_table", "_part_index", "_writes")
 
-    def __init__(self, store: "ReplicatedKVStore", shard: _Shard, table_name: str, part_index: int, ordered: bool):
+    def __init__(
+        self,
+        store: ReplicatedKVStore,
+        shard: _Shard,
+        table: "ReplicatedTable",
+        part_index: int,
+        writes: Optional[list] = None,
+    ):
         self._store = store
         self._shard = shard
-        self._table_name = table_name
+        self._table = table
         self._part_index = part_index
-        self._ordered = ordered
+        self._writes = writes
 
     def _primary(self) -> PartView:
-        return self._shard.primary.part(self._table_name, self._part_index, self._ordered)
+        return self._shard.primary.part(self._table.name, self._part_index, self._table.ordered)
+
+    def _replicate(self, key: Any, value: Any) -> None:
+        write = (self._table.name, self._part_index, self._table.ordered, key, value)
+        if self._writes is not None:
+            self._writes.append(write)
+        else:
+            self._store._replicate(self._shard, [write])
 
     def get(self, key: Any) -> Any:
         with self._shard.lock:
             return self._primary().get(key)
 
     def put(self, key: Any, value: Any) -> None:
-        if value is None:
-            raise ValueError("None is not a storable value; use delete()")
         with self._shard.lock:
-            self._store._apply_batch(
-                self._shard, [(self._table_name, self._part_index, self._ordered, key, value)]
-            )
+            self._primary().put(key, value)
+            self._replicate(key, value)
 
     def delete(self, key: Any) -> bool:
         with self._shard.lock:
-            present = self._primary().get(key) is not None
+            present = self._primary().delete(key)
             if present:
-                self._store._apply_batch(
-                    self._shard, [(self._table_name, self._part_index, self._ordered, key, None)]
-                )
+                self._replicate(key, None)
             return present
 
     def items(self):
@@ -434,208 +414,18 @@ class _ReplicatingView(PartView):
 class ReplicatedTable(Table):
     """A table stored in a :class:`ReplicatedKVStore`."""
 
-    def __init__(self, spec: TableSpec, n_parts: int, store: ReplicatedKVStore):
-        super().__init__(spec, n_parts)
-        self._store = store
-        self._dropped = False
-
-    def _check(self) -> None:
-        if self._dropped:
-            raise TableDroppedError(self.name)
-
     def _view(self, part_index: int) -> PartView:
-        shard = self._store._shard(part_index)
-        return shard.primary.part(self.name, part_index, self.ordered)
+        return _ReplicatingView(self._store, self._store._shard(part_index), self, part_index)
 
-    # -- point operations ------------------------------------------------------
-    def get(self, key: Any) -> Any:
-        self._check()
-        part_index = self.part_of(key)
-        shard = self._store._shard(part_index)
+    def _call(self, part_index: int, op: Callable[..., Any], *args: Any, readonly: bool = False) -> Any:
+        store = self._store
+        shard = store._shard(part_index)
+        writes: list = []
         with shard.lock:
-            return self._view(part_index).get(key)
-
-    def put(self, key: Any, value: Any) -> None:
-        self._check()
-        if value is None:
-            raise ValueError("None is not a storable value; use delete()")
-        self.note_mutation()
-        part_index = self.part_of(key)
-        shard = self._store._shard(part_index)
-        with shard.lock:
-            if self.ubiquitous:
-                # single part ⇒ the part's length is the table size; the
-                # whole limit check happens under one shard lock instead
-                # of a size() scan plus a separate get
-                view = self._view(part_index)
-                if len(view) >= self.spec.ubiquity_limit and view.get(key) is None:
-                    raise UbiquityViolationError(
-                        f"ubiquitous table {self.name!r} exceeds its limit of "
-                        f"{self.spec.ubiquity_limit}"
-                    )
-            self._store._apply_batch(shard, [(self.name, part_index, self.ordered, key, value)])
-
-    def delete(self, key: Any) -> bool:
-        self._check()
-        self.note_mutation()
-        part_index = self.part_of(key)
-        shard = self._store._shard(part_index)
-        with shard.lock:
-            present = self._view(part_index).get(key) is not None
-            if present:
-                self._store._apply_batch(
-                    shard, [(self.name, part_index, self.ordered, key, None)]
-                )
-            return present
-
-    # -- bulk operations ------------------------------------------------------
-    #
-    # The async point ops are intentionally *not* overridden: writes here
-    # are lock-serialized by design (the replication batch is the unit of
-    # durability), and routing them through the single per-shard executor
-    # would deadlock collocated callers.  The batched paths below are the
-    # pipeline unit instead: one replication marshal per per-part batch.
-    def put_many(self, pairs: Iterable[tuple]) -> None:
-        """One replication batch (⇒ one marshal to backups) per touched part."""
-        self._check()
-        self.note_mutation()
-        pairs, span = self._batch_span("store.put_many", pairs)
-        with span:
-            if self.ubiquitous:
-                for key, value in pairs:
-                    self.put(key, value)
-                return
-            by_part: dict = {}
-            part_of = self.part_of
-            for key, value in pairs:
-                if value is None:
-                    raise ValueError("None is not a storable value; use delete()")
-                by_part.setdefault(part_of(key), []).append((key, value))
-            for part_index, batch in by_part.items():
-                shard = self._store._shard(part_index)
-                writes = [
-                    (self.name, part_index, self.ordered, key, value) for key, value in batch
-                ]
-                if shard.backups:
-                    self._store.stats.record_batch(len(batch))
-                with shard.lock:
-                    self._store._apply_batch(shard, writes)
-
-    def get_many(self, keys: Iterable[Any]) -> dict:
-        """Grouped reads: one lock acquisition per touched shard."""
-        self._check()
-        keys, span = self._batch_span("store.get_many", keys)
-        with span:
-            by_part: dict = {}
-            part_of = self.part_of
-            for key in keys:
-                by_part.setdefault(part_of(key), []).append(key)
-            out: dict = {}
-            for part_index, part_keys in by_part.items():
-                shard = self._store._shard(part_index)
-                with shard.lock:
-                    view = shard.primary.part(self.name, part_index, self.ordered)
-                    for key in part_keys:
-                        out[key] = view.get(key)
-            return out
-
-    def delete_many(self, keys: Iterable[Any]) -> None:
-        """One replication batch of tombstones per touched part.
-
-        Mirrors :meth:`put_many`: present keys are tombstoned under one
-        shard-lock acquisition (and one marshal to backups) per part,
-        instead of a lock round-trip per key.
-        """
-        self._check()
-        self.note_mutation()
-        keys, span = self._batch_span("store.delete_many", keys)
-        with span:
-            by_part: dict = {}
-            part_of = self.part_of
-            for key in keys:
-                by_part.setdefault(part_of(key), []).append(key)
-            for part_index, part_keys in by_part.items():
-                shard = self._store._shard(part_index)
-                with shard.lock:
-                    view = shard.primary.part(self.name, part_index, self.ordered)
-                    writes = [
-                        (self.name, part_index, self.ordered, key, None)
-                        for key in part_keys
-                        if view.get(key) is not None
-                    ]
-                    if not writes:
-                        continue
-                    if shard.backups:
-                        self._store.stats.record_batch(len(writes))
-                    self._store._apply_batch(shard, writes)
-
-    # -- enumeration ----------------------------------------------------------
-    def enumerate_parts(self, consumer: PartConsumer, parts: Optional[Iterable[int]] = None) -> Any:
-        self._check()
-        indices = list(range(self.n_parts)) if parts is None else sorted(set(parts))
-        runtime = self._store.runtime
-        futures = []
-        for i in indices:
-            shard = self._store._shard(i)
-            view = shard.primary.part(self.name, i, self.ordered)
-            futures.append(runtime.submit_long(i, consumer.process_part, i, view))
-        return fold_part_results(consumer, [f.result() for f in futures])
-
-    def enumerate_pairs(self, consumer: PairConsumer, parts: Optional[Iterable[int]] = None) -> Any:
-        self._check()
-        indices = list(range(self.n_parts)) if parts is None else sorted(set(parts))
-
-        def _run(part_index: int, view: PartView) -> Any:
-            consumer.setup_part(part_index)
-            for key, value in view.items():
-                if consumer.consume(key, value):
-                    break
-            return consumer.finish_part(part_index)
-
-        runtime = self._store.runtime
-        futures = []
-        for i in indices:
-            shard = self._store._shard(i)
-            view = shard.primary.part(self.name, i, self.ordered)
-            futures.append(runtime.submit_long(i, _run, i, view))
-        return fold_part_results(consumer, [f.result() for f in futures])
-
-    # -- collocated compute ------------------------------------------------------
-    def run_collocated(self, part_index: int, fn: Callable[[int, PartView], Any]) -> Any:
-        """Run mobile code at the primary; its writes replicate.
-
-        The view handed to *fn* routes puts/deletes through the shard's
-        replication path, so collocated writes survive a failover just
-        like table-level writes do.
-        """
-        self._check()
-        if not 0 <= part_index < self.n_parts:
-            raise IndexError(f"part {part_index} out of range for {self.name!r}")
-        shard = self._store._shard(part_index)
-        view = _ReplicatingView(self._store, shard, self.name, part_index, self.ordered)
-        return self._store.runtime.submit_long(part_index, fn, part_index, view).result()
-
-    # -- whole-table helpers -----------------------------------------------------
-    def size(self) -> int:
-        self._check()
-        total = 0
-        for i in range(self.n_parts):
-            shard = self._store._shard(i)
-            with shard.lock:
-                total += len(shard.primary.part(self.name, i, self.ordered))
-        return total
-
-    def clear(self) -> None:
-        self._check()
-        self.note_mutation()
-        for i in range(self.n_parts):
-            shard = self._store._shard(i)
-            with shard.lock:
-                view = shard.primary.part(self.name, i, self.ordered)
-                for key, _ in view.items():
-                    self._store._apply_batch(
-                        shard, [(self.name, i, self.ordered, key, None)]
-                    )
-
-    def _mark_dropped(self) -> None:
-        self._dropped = True
+            try:
+                return op(_ReplicatingView(store, shard, self, part_index, writes), *args)
+            finally:
+                # what the op applied to the primary replicates, even when
+                # it failed part-way, so backups never fall behind
+                if writes:
+                    store._replicate(shard, writes)

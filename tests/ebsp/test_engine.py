@@ -346,8 +346,9 @@ class TestAggregators:
             run_job(fast_store, TestJob(fn, loaders=[EnableKeysLoader([0])]))
 
     def test_many_aggregators_auxiliary_table_path(self, fast_store):
-        """With more aggregators than the threshold the engine goes
-        through the auxiliary table (paper §IV-A)."""
+        """Many aggregators merge through the barrier like a few do
+        (paper §IV-A's auxiliary-table path is not needed: the partials
+        arrive merged)."""
         names = [f"agg{i}" for i in range(12)]
 
         def fn(ctx):
@@ -360,9 +361,7 @@ class TestAggregators:
             loaders=[EnableKeysLoader([0, 1])],
             aggregators={name: SumAggregator() for name in names},
         )
-        result = run_job(
-            fast_store, job, aggregator_table_threshold=4
-        )
+        result = run_job(fast_store, job)
         assert result.aggregates == {f"agg{i}": 2 * i for i in range(12)}
 
     def test_collect_aggregator_in_job(self, fast_store):

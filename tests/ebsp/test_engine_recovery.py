@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import JobSpecError, RecoveryError
 from repro.ebsp.aggregators import SumAggregator
+from repro.ebsp.engine import MAX_RETRIES
 from repro.ebsp.exporters import CollectingExporter
 from repro.ebsp.loaders import DictStateLoader, EnableKeysLoader
 from repro.ebsp.recovery import FailureInjector, ProgressTable, SimulatedFailure
@@ -158,14 +159,13 @@ class TestRecovery:
 
     def test_too_many_failures_gives_up(self, store):
         injector = FailureInjector()
-        injector.schedule(part=0, step=0, times=100)
+        injector.schedule(part=0, step=0, times=MAX_RETRIES + 1)
         with pytest.raises(SimulatedFailure):
             run_job(
                 store,
                 counting_chain_job(3),
                 fault_tolerance=True,
                 failure_injector=injector,
-                max_retries=4,
             )
 
     def test_state_writes_rolled_back(self, store):
