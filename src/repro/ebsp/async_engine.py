@@ -26,10 +26,9 @@ the synchronous engine's active-part scheduling.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import (
     AggregatorError,
@@ -37,23 +36,24 @@ from repro.errors import (
     JobSpecError,
     PropertyViolationError,
 )
-from repro.ebsp.job import ComputeContext, Job
+from repro.ebsp.frame import FrameContext, JobFrame
+from repro.ebsp.job import Job
 from repro.ebsp.loaders import StagedLoaderContext
-from repro.ebsp.properties import ExecutionPlan
-from repro.ebsp.results import Counters, JobResult
+from repro.ebsp.results import JobResult
 from repro.ebsp.termination import WeightController, WeightPurse
-from repro.obs.trace import Tracer, activate, resolve_tracer
-from repro.kvstore.api import FnPairConsumer, KVStore, Table, TableSpec
+from repro.obs.trace import activate
+from repro.kvstore.api import KVStore
 from repro.messaging.api import MessageQueuing, QueueWorkerContext
 from repro.messaging.local_queue import LocalMessageQueuing, LocalQueueSet
-
-_job_ids = itertools.count()
 
 _MSG = "m"
 _ENABLE = "e"
 
+#: Records a worker drains from its queue per batch.
+BATCH_LIMIT = 64
 
-class _AsyncContext(ComputeContext):
+
+class _AsyncContext(FrameContext):
     """Compute context for the no-sync engine; rebound per invocation.
 
     There are no steps, so ``step_num`` reports the worker-local
@@ -62,25 +62,11 @@ class _AsyncContext(ComputeContext):
     ``incremental`` says exactly that).
     """
 
-    _ABSENT = object()
-
     def __init__(self, engine: "AsyncEngine", qctx: QueueWorkerContext, purse: WeightPurse):
-        self._engine = engine
+        super().__init__(engine)
         self._qctx = qctx
         self._purse = purse
-        self._key: Any = None
-        self._messages: List[Any] = []
-        self._state_buffer: Dict[int, Any] = {}
-        self._dirty: set = set()
-        self.invocations = 0
         self.messages_sent = 0
-
-    def _bind(self, key: Any, messages: List[Any]) -> None:
-        self._key = key
-        self._messages = messages
-        self._state_buffer = {}
-        self._dirty = set()
-        self.invocations += 1
 
     def _finish_invocation(self) -> None:
         for tab_idx in self._dirty:
@@ -96,17 +82,6 @@ class _AsyncContext(ComputeContext):
     def step_num(self) -> int:
         return self.invocations
 
-    @property
-    def key(self) -> Any:
-        return self._key
-
-    def _check_tab(self, tab_idx: int) -> None:
-        if not 0 <= tab_idx < len(self._engine._state_tables):
-            raise IndexError(
-                f"state table index {tab_idx} out of range "
-                f"(job has {len(self._engine._state_tables)} state tables)"
-            )
-
     def read_state(self, tab_idx: int) -> Any:
         self._check_tab(tab_idx)
         if tab_idx in self._state_buffer:
@@ -114,34 +89,12 @@ class _AsyncContext(ComputeContext):
             return None if value is _AsyncContext._ABSENT else value
         return self._engine._state_tables[tab_idx].get(self._key)
 
-    def write_state(self, tab_idx: int, state: Any) -> None:
-        self._check_tab(tab_idx)
-        if state is None:
-            raise ValueError("None is not a storable state; use delete_state()")
-        self._state_buffer[tab_idx] = state
-        self._dirty.add(tab_idx)
-
-    def read_write_state(self, tab_idx: int) -> Any:
-        state = self.read_state(tab_idx)
-        if state is not None:
-            self._state_buffer[tab_idx] = state
-            self._dirty.add(tab_idx)
-        return state
-
-    def delete_state(self, tab_idx: int) -> None:
-        self._check_tab(tab_idx)
-        self._state_buffer[tab_idx] = _AsyncContext._ABSENT
-        self._dirty.add(tab_idx)
-
     def create_state(self, tab_idx: int, key: Any, state: Any) -> None:
         self._check_tab(tab_idx)
         if state is None:
             raise ValueError("None is not a creatable state")
         # Without barriers the creation applies immediately.
         self._engine._state_tables[tab_idx].put(key, state)
-
-    def input_messages(self) -> Iterator[Any]:
-        return iter(self._messages)
 
     def output_message(self, key: Any, message: Any) -> None:
         if message is None:
@@ -157,9 +110,6 @@ class _AsyncContext(ComputeContext):
 
     def get_aggregate_value(self, name: str) -> Any:
         raise AggregatorError("a no-sync job cannot have aggregators (no-agg is required)")
-
-    def get_broadcast_datum(self, key: Any) -> Any:
-        return self._engine._broadcast.get(key)
 
     def direct_job_output(self, key: Any, value: Any) -> None:
         exporter = self._engine._direct_exporter
@@ -187,7 +137,7 @@ class _AsyncLoaderCtx(StagedLoaderContext):
         raise AggregatorError("a no-sync job cannot have aggregators (no-agg is required)")
 
 
-class AsyncEngine:
+class AsyncEngine(JobFrame):
     """Executes a no-sync-eligible job without synchronization barriers."""
 
     def __init__(
@@ -197,9 +147,7 @@ class AsyncEngine:
         *,
         queuing: Optional[MessageQueuing] = None,
         poll_timeout: float = 0.02,
-        batch_limit: int = 64,
         work_stealing: Optional[bool] = None,
-        require_no_sync: bool = True,
         trace: Any = None,
         on_step: Optional[Any] = None,
     ):
@@ -208,14 +156,8 @@ class AsyncEngine:
         # picks) but never fires: a no-sync run has no barriers, hence
         # no per-step timeline to report.
         del on_step
-        self._store = store
-        self._job = job
-        # None defers to RIPPLE_TRACE; True/False/Tracer are explicit.
-        self._tracer: Tracer = resolve_tracer(trace)
-        self._compute = job.get_compute()
-        aggs = job.aggregators()
-        self._plan = ExecutionPlan.derive(job.properties(), bool(aggs), job.has_aborter)
-        if require_no_sync and not self._plan.no_sync:
+        super().__init__(store, job, trace)
+        if not self._plan.no_sync:
             raise JobSpecError(
                 "job is not eligible for no-sync execution: requires "
                 "(one-msg ∧ no-continue ∧ no-ss-order ∨ incremental) "
@@ -224,10 +166,9 @@ class AsyncEngine:
         self._queuing = (
             queuing
             if queuing is not None
-            else LocalMessageQueuing(runtime=getattr(store, "runtime", None))
+            else LocalMessageQueuing(runtime=self._runtime)
         )
         self._poll_timeout = poll_timeout
-        self._batch_limit = max(1, batch_limit)
         props = self._plan.properties
         if work_stealing is None:
             work_stealing = self._plan.run_anywhere and props.no_ss_order
@@ -237,12 +178,6 @@ class AsyncEngine:
                 "(one-msg ∧ no-continue ∧ rare-state) plus no-ss-order"
             )
         self._work_stealing = work_stealing
-        self._counters = Counters()
-        # The store's worker runtime (when it has one) carries the gang
-        # dispatch for the queue-set workers and the per-worker counters.
-        self._runtime = getattr(store, "runtime", None)
-        self._runtime_baseline = self._runtime.stats() if self._runtime is not None else None
-        self._direct_exporter = job.direct_output_exporter()
         self._controller = WeightController()
         # set when any worker dies: peers must stop waiting for weight
         # that crashed with it
@@ -250,65 +185,7 @@ class AsyncEngine:
         # per-part activation events (parking); created in run() when
         # work stealing is off — a stealing worker must stay awake to steal
         self._activation: Optional[List[threading.Event]] = None
-        # key -> part memo for the engine-side routing lookup
-        self._part_cache: Dict[Any, int] = {}
-        self._jid = next(_job_ids)
-        self._resolve_tables()
-        self._broadcast = self._snapshot_broadcast()
-
-    # -- setup (mirrors SyncEngine) ------------------------------------------------
-    def _resolve_tables(self) -> None:
-        names = self._job.state_table_names()
-        if len(set(names)) != len(names):
-            raise JobSpecError(f"duplicate state table names: {names}")
-        reference_name = self._job.reference_table()
-        n_parts: Optional[int] = None
-        if reference_name is not None:
-            n_parts = self._store.get_table(reference_name).n_parts
-        else:
-            for name in names:
-                if self._store.has_table(name):
-                    n_parts = self._store.get_table(name).n_parts
-                    break
-        if n_parts is None:
-            n_parts = self._store.default_n_parts
-        self.n_parts = n_parts
-        self._state_tables: List[Table] = []
-        for name in names:
-            if self._store.has_table(name):
-                table = self._store.get_table(name)
-                if table.n_parts != n_parts:
-                    raise JobSpecError(
-                        f"state table {name!r} has {table.n_parts} parts; "
-                        f"the job is partitioned into {n_parts}"
-                    )
-            else:
-                table = self._store.create_table(TableSpec(name=name, n_parts=n_parts))
-            self._state_tables.append(table)
-
-    def _snapshot_broadcast(self) -> Dict[Any, Any]:
-        name = self._job.broadcast_table()
-        if name is None:
-            return {}
-        return dict(self._store.get_table(name).items())
-
-    def _part_of(self, key: Any) -> int:
-        try:
-            return self._part_cache[key]
-        except KeyError:
-            pass
-        except TypeError:  # unhashable key: route without caching
-            return self._compute_part_of(key)
-        part = self._compute_part_of(key)
-        self._part_cache[key] = part
-        return part
-
-    def _compute_part_of(self, key: Any) -> int:
-        if self._state_tables:
-            return self._state_tables[0].part_of(key)
-        from repro.util.hashing import part_for_key
-
-        return part_for_key(key, self.n_parts)
+        self._open()
 
     # -- parking --------------------------------------------------------------------
     def _activate(self, part: int) -> None:
@@ -358,43 +235,8 @@ class AsyncEngine:
                 finally:
                     self._queuing.delete_queue_set(queue_set.name)
 
-        total_invocations = sum(invocations)
-        self._counters.add("compute_invocations", total_invocations)
-        worker_stats: Dict[str, Any] = {}
-        if self._runtime is not None and self._runtime_baseline is not None:
-            from repro.runtime import stats_delta
-
-            worker_stats = stats_delta(self._runtime_baseline, self._runtime.stats())
-            registry = self._counters.registry
-            registry.gauge("runtime.tasks").set(worker_stats.get("tasks", 0))
-            registry.gauge("runtime.busy_seconds", unit="seconds").set(
-                worker_stats.get("busy_seconds", 0.0)
-            )
-            registry.gauge("runtime.steals").set(worker_stats.get("steals", 0))
-            registry.gauge("runtime.gang_tasks").set(worker_stats.get("gang_tasks", 0))
-        result = JobResult(
-            steps=0,
-            aggregates={},
-            aborted=False,
-            counters=self._counters.snapshot(),
-            elapsed_seconds=time.monotonic() - started,
-            synchronized=False,
-            worker_stats=worker_stats,
-            metrics=self._counters.registry.dump(),
-        )
-        if self._tracer.enabled:
-            from repro.obs.export import export_tracer
-
-            result.trace = export_tracer(
-                self._tracer, extra_metadata={"engine": "async"}
-            )
-        from repro.ebsp.results import record_job_stats, record_job_trace
-
-        job_seq = record_job_stats(self._store, result)
-        record_job_trace(self._store, job_seq, result)
-        self._export_outputs()
-        self._job.on_complete(result)
-        return result
+        self._counters.add("compute_invocations", sum(invocations))
+        return self._finish_run(started, {"engine": "async"}, steps=0, synchronized=False)
 
     def _worker(self, qctx: QueueWorkerContext) -> int:
         try:
@@ -410,7 +252,7 @@ class AsyncEngine:
 
     def _worker_loop(self, qctx: QueueWorkerContext) -> int:
         purse = WeightPurse()
-        ctx = _AsyncContext(self._engine_self(), qctx, purse)
+        ctx = _AsyncContext(self, qctx, purse)
         no_continue = self._plan.properties.no_continue
         can_steal = self._work_stealing and isinstance(
             getattr(qctx, "_queue_set", None), LocalQueueSet
@@ -453,7 +295,7 @@ class AsyncEngine:
                 else:
                     continue
             batch = [record]
-            while len(batch) < self._batch_limit:
+            while len(batch) < BATCH_LIMIT:
                 extra = qctx.read(timeout=0)
                 if extra is None:
                     break
@@ -500,26 +342,6 @@ class AsyncEngine:
         registry.counter("engine.queue_wait_seconds", unit="seconds").add(queue_wait)
         return ctx.invocations
 
-    def _engine_self(self) -> "AsyncEngine":
-        return self
-
     def _try_steal(self, qctx: QueueWorkerContext) -> Optional[tuple]:
         queue_set: LocalQueueSet = qctx._queue_set  # type: ignore[attr-defined]
         return queue_set.steal(exclude=qctx.part_index)
-
-    # -- outputs --------------------------------------------------------------------
-    def _export_outputs(self) -> None:
-        exporters = self._job.state_exporters()
-        for table_name, exporter in exporters.items():
-            if table_name not in self._job.state_table_names():
-                raise JobSpecError(
-                    f"state exporter for {table_name!r}, which is not a state table"
-                )
-            table = self._store.get_table(table_name)
-            exporter.begin()
-            table.enumerate_pairs(
-                FnPairConsumer(lambda key, value: exporter.export(key, value))
-            )
-            exporter.end()
-        if self._direct_exporter is not None:
-            self._direct_exporter.end()

@@ -29,7 +29,6 @@ failed part-step is re-driven from its retained input spills.
 
 from __future__ import annotations
 
-import itertools
 import pickle
 import threading
 import time
@@ -44,18 +43,12 @@ from repro.errors import (
     PropertyViolationError,
     RecoveryError,
 )
-from repro.ebsp.job import (
-    BaseContext,
-    BatchComputeContext,
-    Compute,
-    ComputeContext,
-    Job,
-)
+from repro.ebsp.frame import FrameContext, JobFrame
+from repro.ebsp.job import BaseContext, BatchComputeContext, Compute, Job
 from repro.ebsp.loaders import StagedLoaderContext
-from repro.ebsp.properties import ExecutionPlan
 from repro.ebsp.recovery import FailureInjector, ProgressTable, SimulatedFailure
 from repro.ebsp.results import Counters, JobResult
-from repro.obs.trace import Tracer, activate, get_tracer, resolve_tracer
+from repro.obs.trace import activate, get_tracer
 from repro.runtime.shipping import CONSUMER_SHIP_ATTR, ShippingError
 from repro.ebsp.transport import (
     CLIENT_SRC,
@@ -71,9 +64,7 @@ from repro.ebsp.transport import (
     group_step_columns,
     scan_step_records_no_collect,
 )
-from repro.kvstore.api import FnPairConsumer, KVStore, PartConsumer, Table, TableSpec
-
-_job_ids = itertools.count()
+from repro.kvstore.api import KVStore, PartConsumer
 
 #: Transport pipeline: sealed spills per dispatched batch, and the
 #: bound on dispatched-but-unjoined batches per writer.
@@ -141,27 +132,22 @@ class _LoaderCtx(StagedLoaderContext):
         self.agg_partials[name] = agg.add(self.agg_partials[name], value)
 
 
-class _StepContext(ComputeContext):
+class _StepContext(FrameContext):
     """One part's compute context for one step; rebound per component.
 
-    State writes go through a per-component write-behind buffer that
-    feeds a part-step *write-back cache* at the end of the invocation:
-    reads hit the cache after first touch, and every dirtied state
-    table commits as one batched ``put_many`` (plus one ``delete_many``)
-    at the part-step commit point — which also gives fault tolerance
-    its deferral for free, since nothing reaches a state table before
+    The frame's per-component write-behind buffer feeds a part-step
+    *write-back cache* at the end of the invocation: reads hit the cache
+    after first touch, and every dirtied state table commits as one
+    batched ``put_many`` (plus one ``delete_many``) at the part-step
+    commit point — which also gives fault tolerance its deferral for
+    free, since nothing reaches a state table before
     :meth:`commit_state`.
     """
 
     def __init__(self, engine: "SyncEngine", step: int, writer: SpillWriter):
-        self._engine = engine
+        super().__init__(engine)
         self._step_num = step
         self._writer = writer
-        self._key: Any = None
-        self._messages: List[Any] = []
-        # per-invocation state buffer: tab_idx -> value ("absent" sentinel = delete)
-        self._state_buffer: Dict[int, Any] = {}
-        self._dirty: set = set()
         # part-step write-back cache: (tab_idx, key) -> value/_ABSENT;
         # holds both read-through results and staged writes
         self._cache: Dict[Tuple[int, Any], Any] = {}
@@ -171,18 +157,8 @@ class _StepContext(ComputeContext):
             name: agg.create() for name, agg in engine._aggs.items()
         }
         self.direct_outputs: List[Tuple[Any, Any]] = []
-        self.invocations = 0
-
-    _ABSENT = object()
 
     # -- engine-side lifecycle -------------------------------------------------
-    def _bind(self, key: Any, messages: List[Any]) -> None:
-        self._key = key
-        self._messages = messages
-        self._state_buffer = {}
-        self._dirty = set()
-        self.invocations += 1
-
     def _finish_invocation(self) -> None:
         """Stage this component's state buffer into the write-back cache."""
         for tab_idx in self._dirty:
@@ -223,17 +199,6 @@ class _StepContext(ComputeContext):
     def step_num(self) -> int:
         return self._step_num
 
-    @property
-    def key(self) -> Any:
-        return self._key
-
-    def _check_tab(self, tab_idx: int) -> None:
-        if not 0 <= tab_idx < len(self._engine._state_tables):
-            raise IndexError(
-                f"state table index {tab_idx} out of range "
-                f"(job has {len(self._engine._state_tables)} state tables)"
-            )
-
     def read_state(self, tab_idx: int) -> Any:
         self._check_tab(tab_idx)
         if tab_idx in self._state_buffer:
@@ -252,33 +217,11 @@ class _StepContext(ComputeContext):
             return value
         return None if value is _StepContext._ABSENT else value
 
-    def write_state(self, tab_idx: int, state: Any) -> None:
-        self._check_tab(tab_idx)
-        if state is None:
-            raise ValueError("None is not a storable state; use delete_state()")
-        self._state_buffer[tab_idx] = state
-        self._dirty.add(tab_idx)
-
-    def read_write_state(self, tab_idx: int) -> Any:
-        state = self.read_state(tab_idx)
-        if state is not None:
-            self._state_buffer[tab_idx] = state
-            self._dirty.add(tab_idx)
-        return state
-
-    def delete_state(self, tab_idx: int) -> None:
-        self._check_tab(tab_idx)
-        self._state_buffer[tab_idx] = _StepContext._ABSENT
-        self._dirty.add(tab_idx)
-
     def create_state(self, tab_idx: int, key: Any, state: Any) -> None:
         self._check_tab(tab_idx)
         if state is None:
             raise ValueError("None is not a creatable state")
         self._writer.add((CREATE, key, tab_idx, state))
-
-    def input_messages(self) -> Iterator[Any]:
-        return iter(self._messages)
 
     def output_message(self, key: Any, message: Any) -> None:
         if message is None:
@@ -295,9 +238,6 @@ class _StepContext(ComputeContext):
         if name not in self._engine._aggs:
             raise AggregatorError(f"job has no aggregator named {name!r}")
         return self._engine._agg_values.get(name)
-
-    def get_broadcast_datum(self, key: Any) -> Any:
-        return self._engine._broadcast.get(key)
 
     def direct_job_output(self, key: Any, value: Any) -> None:
         engine = self._engine
@@ -774,7 +714,7 @@ class _NoCollectShape:
         )
 
 
-class SyncEngine:
+class SyncEngine(JobFrame):
     """Executes one job, synchronously, over a given store."""
 
     def __init__(
@@ -796,15 +736,7 @@ class SyncEngine:
         elastic: Any = None,
         on_step: Optional[Any] = None,
     ):
-        self._store = store
-        self._job = job
-        # None defers to RIPPLE_TRACE; True/False/Tracer are explicit.
-        self._tracer: Tracer = resolve_tracer(trace)
-        self._compute = job.get_compute()
-        self._aggs = dict(job.aggregators())
-        self._plan = ExecutionPlan.derive(
-            job.properties(), bool(self._aggs), job.has_aborter
-        )
+        super().__init__(store, job, trace)
         # -- columnar data plane --------------------------------------
         # batch_compute=None auto-detects a compute_batch override (the
         # same detection-by-override idiom as combiners); False forces
@@ -841,10 +773,7 @@ class SyncEngine:
         # after the barrier (driver thread).  Exceptions are swallowed —
         # a monitoring callback must never fail a tenant's job.
         self._on_step = on_step
-        self._counters = Counters()
         self._agg_values: Dict[str, Any] = {}
-        self._direct_exporter = job.direct_output_exporter()
-        self._jid = next(_job_ids)
         # -- superstep checkpointing ----------------------------------
         if checkpoint_interval < 0:
             raise JobSpecError("checkpoint_interval must be >= 0")
@@ -870,7 +799,6 @@ class SyncEngine:
         # True takes the default ElasticConfig; an ElasticConfig is used
         # as-is.  Resolved before _resolve_tables because the physical
         # part space (transport/progress sizing) depends on max_fanout.
-        self._runtime = getattr(store, "runtime", None)
         if elastic is None or elastic is False:
             self._elastic_cfg = None
         else:
@@ -890,7 +818,7 @@ class SyncEngine:
         self._elastic = None
         self._elastic_monitor = None
 
-        self._resolve_tables()
+        self._open()
         if self._elastic_cfg is not None:
             from repro.elastic import ElasticController, LoadMonitor
 
@@ -906,22 +834,7 @@ class SyncEngine:
         self._placement_version = (
             self._placement.version if self._placement is not None else 0
         )
-        # Baseline for the store's marshalling/batching statistics (when
-        # the store keeps them), so the result can report this job's own
-        # transport I/O rather than process-lifetime totals.
-        store_stats = getattr(store, "stats", None)
-        self._stats_baseline = store_stats.snapshot() if store_stats is not None else None
-        # Same idea for the store's worker runtime: snapshot now, report
-        # the delta as the job's per-worker execution profile.  Starting
-        # a stats window scopes windowed maxima (queue depth) to this
-        # job rather than the runtime's lifetime.
-        if self._runtime is not None:
-            begin_window = getattr(self._runtime, "begin_stats_window", None)
-            if begin_window is not None:
-                begin_window()
-        self._runtime_baseline = self._runtime.stats() if self._runtime is not None else None
         self._elastic_stats_baseline = self._runtime_baseline
-        self._broadcast = self._snapshot_broadcast()
         if fault_tolerance:
             self._progress = ProgressTable(
                 self._store, f"__ebsp_progress_{self._jid}", self._n_physical
@@ -932,8 +845,6 @@ class SyncEngine:
         # from many parts); this is what active-part scheduling reads
         self._spill_lock = threading.Lock()
         self._spilled_per_step: Dict[int, Dict[int, int]] = {}
-        # key -> part memo for the engine-side routing lookup
-        self._part_cache: Dict[Any, int] = {}
         self._timeline: list = []
         # -- compute shipping (process runtimes) --------------------------
         # True in a copy of this engine that was unpickled inside a
@@ -1033,35 +944,7 @@ class SyncEngine:
 
     # -- setup -----------------------------------------------------------------
     def _resolve_tables(self) -> None:
-        names = self._job.state_table_names()
-        if len(set(names)) != len(names):
-            raise JobSpecError(f"duplicate state table names: {names}")
-        reference_name = self._job.reference_table()
-        n_parts: Optional[int] = None
-        if reference_name is not None:
-            n_parts = self._store.get_table(reference_name).n_parts
-        else:
-            for name in names:
-                if self._store.has_table(name):
-                    n_parts = self._store.get_table(name).n_parts
-                    break
-        if n_parts is None:
-            n_parts = self._store.default_n_parts
-        self.n_parts = n_parts
-
-        self._state_tables: List[Table] = []
-        for name in names:
-            if self._store.has_table(name):
-                table = self._store.get_table(name)
-                if table.n_parts != n_parts:
-                    raise JobSpecError(
-                        f"state table {name!r} has {table.n_parts} parts; "
-                        f"the job is partitioned into {n_parts}"
-                    )
-            else:
-                table = self._store.create_table(TableSpec(name=name, n_parts=n_parts))
-            self._state_tables.append(table)
-
+        super()._resolve_tables()
         # Elastic execution routes spills through a *physical* part space
         # max_fanout times larger than the logical one, so a hot logical
         # part can fan out without resizing any table mid-job.  State
@@ -1078,34 +961,16 @@ class SyncEngine:
                     )
             n_workers = getattr(self._runtime, "n_workers", 1)
             self._placement = PlacementMap(
-                n_parts, n_workers, max_fanout=self._elastic_cfg.max_fanout
+                self.n_parts, n_workers, max_fanout=self._elastic_cfg.max_fanout
             )
             self._n_physical = self._placement.n_physical
         else:
-            self._n_physical = n_parts
+            self._n_physical = self.n_parts
 
         self._transport_name = f"__ebsp_xport_{self._jid}"
         self._transport = create_transport_table(
             self._store, self._transport_name, self._n_physical
         )
-
-    def _snapshot_broadcast(self) -> Dict[Any, Any]:
-        name = self._job.broadcast_table()
-        if name is None:
-            return {}
-        table = self._store.get_table(name)
-        return dict(table.items())
-
-    def _part_of(self, key: Any) -> int:
-        try:
-            return self._part_cache[key]
-        except KeyError:
-            pass
-        except TypeError:  # unhashable key: route without caching
-            return self._compute_part_of(key)
-        part = self._compute_part_of(key)
-        self._part_cache[key] = part
-        return part
 
     def _compute_part_of(self, key: Any) -> int:
         placement = self._placement
@@ -1114,11 +979,7 @@ class SyncEngine:
 
             h = stable_hash(key)
             return placement.route(h, h % self.n_parts)
-        if self._state_tables:
-            return self._state_tables[0].part_of(key)
-        from repro.util.hashing import part_for_key
-
-        return part_for_key(key, self.n_parts)
+        return super()._compute_part_of(key)
 
     def _part_of_many(self, keys: Any) -> Any:
         """Vectorized key→part routing for whole columns."""
@@ -1194,24 +1055,6 @@ class SyncEngine:
         if writer.batches_dispatched:
             self._counters.add("transport_batches", writer.batches_dispatched)
         self._counters.record_max("spill_in_flight_hwm", writer.in_flight_hwm)
-
-    def _capture_store_stats(self) -> None:
-        """Record this run's store serde/batching deltas as counters."""
-        stats = getattr(self._store, "stats", None)
-        if stats is None or self._stats_baseline is None:
-            return
-        for name, value in stats.snapshot().items():
-            delta = value - self._stats_baseline.get(name, 0)
-            if delta:
-                self._counters.add(f"store_{name}", delta)
-
-    def _capture_runtime_stats(self) -> Dict[str, Any]:
-        """This job's per-worker execution profile (delta over baseline)."""
-        if self._runtime is None or self._runtime_baseline is None:
-            return {}
-        from repro.runtime import stats_delta
-
-        return stats_delta(self._runtime_baseline, self._runtime.stats())
 
     # -- combiner plumbing -----------------------------------------------------
     def _combiner_for(self, step: int):
@@ -1293,32 +1136,15 @@ class SyncEngine:
                             aborted = True
                             break
                         step += 1
-            self._capture_store_stats()
-            self._capture_registry_extras()
-            result = JobResult(
+            result = self._finish_run(
+                started,
+                {"engine": "sync", "steps": steps_taken},
                 steps=steps_taken,
                 aggregates=dict(self._agg_values),
                 aborted=aborted,
-                counters=self._counters.snapshot(),
-                elapsed_seconds=time.monotonic() - started,
                 synchronized=True,
                 timeline=list(self._timeline),
-                worker_stats=self._capture_runtime_stats(),
-                metrics=self._counters.registry.dump(),
             )
-            if self._tracer.enabled:
-                from repro.obs.export import export_tracer
-
-                result.trace = export_tracer(
-                    self._tracer,
-                    extra_metadata={"engine": "sync", "steps": steps_taken},
-                )
-            from repro.ebsp.results import record_job_stats, record_job_trace
-
-            job_seq = record_job_stats(self._store, result)
-            record_job_trace(self._store, job_seq, result)
-            self._export_outputs()
-            self._job.on_complete(result)
             if self._checkpoints is not None:
                 # the job reached its natural end; a later resume must
                 # not replay it from a stale barrier
@@ -1326,28 +1152,6 @@ class SyncEngine:
             return result
         finally:
             self._cleanup()
-
-    def _capture_registry_extras(self) -> None:
-        """Surface the runtime's per-worker counters through the registry
-        (as gauges — their single-writer hot paths stay lock-free)."""
-        stats = self._capture_runtime_stats()
-        if not stats:
-            return
-        registry = self._counters.registry
-        registry.gauge("runtime.tasks").set(stats.get("tasks", 0))
-        registry.gauge("runtime.busy_seconds", unit="seconds").set(
-            stats.get("busy_seconds", 0.0)
-        )
-        registry.gauge("runtime.steals").set(stats.get("steals", 0))
-        registry.gauge("runtime.gang_tasks").set(stats.get("gang_tasks", 0))
-        # Crash-tolerance counters: how many workers this job lost (and
-        # got back), and how many it killed for blowing a task deadline.
-        if stats.get("respawns"):
-            self._counters.add("worker_respawns", stats["respawns"])
-        if stats.get("worker_timeouts"):
-            self._counters.add("worker_timeouts", stats["worker_timeouts"])
-        if stats.get("degraded"):
-            self._counters.record_max("workers_degraded", len(stats["degraded"]))
 
     # -- superstep checkpoints -------------------------------------------------
     def _write_checkpoint(self, step: int) -> None:
@@ -1824,23 +1628,7 @@ class SyncEngine:
                 by_tab[tab_idx] = state
         return list(by_tab.items())
 
-    # -- outputs & cleanup ------------------------------------------------------------
-    def _export_outputs(self) -> None:
-        exporters = self._job.state_exporters()
-        for table_name, exporter in exporters.items():
-            if table_name not in self._job.state_table_names():
-                raise JobSpecError(
-                    f"state exporter for {table_name!r}, which is not a state table"
-                )
-            table = self._store.get_table(table_name)
-            exporter.begin()
-            table.enumerate_pairs(
-                FnPairConsumer(lambda key, value: exporter.export(key, value))
-            )
-            exporter.end()
-        if self._direct_exporter is not None:
-            self._direct_exporter.end()
-
+    # -- cleanup ------------------------------------------------------------------
     def _cleanup(self) -> None:
         for name in (self._transport_name,):
             try:

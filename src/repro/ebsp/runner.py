@@ -4,7 +4,10 @@
 from the job's declared properties (plus the two detected ones) and
 dispatches to the no-sync engine when the job is eligible — unless the
 caller forces synchronization, which is the paper's "simple
-all-or-nothing switch".
+all-or-nothing switch".  Both engines run inside the same job frame
+(:mod:`repro.ebsp.frame`), so the choice changes how computes are
+driven, never how the job's tables are set up or how its result,
+counters and outputs are reported.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ def run_job(
     engine_kwargs:
         Passed through to the chosen engine (e.g. ``max_steps``,
         ``spill_batch``, ``fault_tolerance`` for the synchronous
-        engine; ``queuing``, ``work_stealing`` for the asynchronous
-        one).
+        engine; ``queuing``, ``poll_timeout``, ``work_stealing`` for
+        the asynchronous one; ``trace`` and ``on_step`` for both).
     """
     plan = plan_for(job)
     use_sync = not plan.no_sync if synchronize is None else synchronize

@@ -1,12 +1,14 @@
-"""No reference cycle through a finished SyncEngine, on every part-step shape.
+"""No reference cycle through a finished engine, on either engine.
 
 An engine that sits in a cycle (say, a bound method of its own stored
 on itself) is freed only by the cyclic collector, so engines — and the
 copy a worker unpickles per shipped part-step — pile up between
 collections and job time follows the collector's schedule.  With the
 collector off, a finished engine must die with its last reference.
-Each case runs one shape of part-step: per-key, columnar, the columnar
-shape falling back to per-key, and no-collect.
+Each SyncEngine case runs one shape of part-step: per-key, columnar,
+the columnar shape falling back to per-key, and no-collect; each
+AsyncEngine case runs one way an idle worker waits: parking or work
+stealing.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import weakref
 
 import pytest
 
+from repro.ebsp.async_engine import AsyncEngine
 from repro.ebsp.engine import (
     SyncEngine,
     _ColumnarShape,
@@ -71,6 +74,45 @@ def test_finished_engine_dies_with_its_last_reference(plan, runtime):
         assert result.steps > 0
         if plan == "fallback":
             assert result.counters["batch_fallbacks"] == 1
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+        store.close()
+
+
+def _no_sync_job(properties):
+    return TestJob(
+        _relay,
+        loaders=[MessageListLoader([(0, 1), (10, 1)])],
+        properties=properties,
+    )
+
+
+NO_SYNC_PLANS = {
+    "parking": (JobProperties(incremental=True, no_continue=True), False),
+    "stealing": (
+        JobProperties(one_msg=True, no_continue=True, rare_state=True, no_ss_order=True),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("runtime", ["inline", "threaded"])
+@pytest.mark.parametrize("plan", sorted(NO_SYNC_PLANS))
+def test_finished_async_engine_dies_with_its_last_reference(plan, runtime):
+    properties, stealing = NO_SYNC_PLANS[plan]
+    store = PartitionedKVStore(n_partitions=2, runtime=runtime)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        engine = AsyncEngine(store, _no_sync_job(properties))
+        assert engine._work_stealing is stealing
+        result = engine.run()
+        assert result.compute_invocations == 8
         ref = weakref.ref(engine)
         del engine
         assert ref() is None
