@@ -1,15 +1,25 @@
-"""Ablation — real crash recovery on the process runtime (paper §IV-A).
+"""Ablation — the price of §IV-A fault tolerance and of recovering from
+failures, simulated and real.
 
-``test_ablation_fault_tolerance.py`` prices the §IV-A bookkeeping
-against *simulated* failures (an exception in the part-step).  This
-ablation prices the real thing: PageRank on the process runtime with
-``crash_tolerance=True``, where the chaos mode SIGKILLs two worker
+The first three modes run PageRank on the single-threaded local store.
+With ``fault_tolerance=True`` every part-step defers its state writes
+and outgoing spills to a single commit point, retains its input spills
+until commit, and updates the part → completed-step progress table;
+``test_local_with_fault_tolerance`` prices that bookkeeping against
+``test_local_without_fault_tolerance`` (< 100 %), and
+``test_local_with_injected_failures`` shows that simulated failures
+(an exception in the part-step) cost roughly the re-executed
+part-steps (< 2× the clean fault-tolerant run).
+
+The other modes price the real thing: PageRank on the process runtime
+with ``crash_tolerance=True``, where the chaos mode SIGKILLs two worker
 processes mid-part-step, hangs a third past its task deadline, and
-delays a fourth.  Recovery must leave the final ranks byte-identical
-to the failure-free run — the crashes cost re-executed part-steps and
+delays a fourth.  Both kinds of failure go through the same recovery
+loop.  Recovery must leave the final ranks byte-identical to the
+failure-free run — the crashes cost re-executed part-steps and
 respawned processes, nothing else.
 
-A third mode runs failure-free with superstep checkpointing enabled to
+A last mode runs failure-free with superstep checkpointing enabled to
 price the checkpoint writes, and then verifies crash → ``resume=True``
 recovery end-to-end on the same store configuration.
 """
@@ -18,7 +28,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 import time
 
 import pytest
@@ -30,10 +39,11 @@ from repro.apps.pagerank import (
     read_ranks,
 )
 from repro.ebsp.loaders import MessageListLoader
-from repro.ebsp.recovery import ProcessFailureInjector
+from repro.ebsp.recovery import FailureInjector
 from repro.ebsp.runner import run_job
 from repro.errors import ComputeError
 from repro.graph.generators import power_law_directed_graph
+from repro.kvstore.local import LocalKVStore
 from repro.kvstore.partitioned import PartitionedKVStore
 from repro.runtime import ProcessRuntime, RetryPolicy
 
@@ -44,11 +54,62 @@ N_PARTS = 4
 TASK_DEADLINE = 3.0
 HANG_SECONDS = 15.0
 _RESULTS: dict = {}
+_MEANS: dict = {}
 
 
 @pytest.fixture(scope="module")
 def adjacency(scale):
     return power_law_directed_graph(int(800 * scale), int(12_000 * scale), seed=31)
+
+
+def _bench_local(benchmark, adjacency, fault_tolerance: bool, injector_factory=None):
+    stores = []
+
+    def setup():
+        store = LocalKVStore(default_n_parts=4)
+        stores.append(store)
+        n = build_pagerank_table(store, "pr", adjacency)
+        kwargs = {"fault_tolerance": fault_tolerance}
+        if injector_factory is not None:
+            kwargs["failure_injector"] = injector_factory()
+        return (store, n, kwargs), {}
+
+    def target(store, n, kwargs):
+        pagerank_direct(store, "pr", n, CONFIG, **kwargs)
+
+    try:
+        benchmark.pedantic(target, setup=setup, rounds=bench_rounds(), iterations=1)
+    finally:
+        for store in stores:
+            store.close()
+    return benchmark.stats.stats.mean
+
+
+def test_local_without_fault_tolerance(benchmark, adjacency):
+    _MEANS["off"] = _bench_local(benchmark, adjacency, fault_tolerance=False)
+
+
+def test_local_with_fault_tolerance(benchmark, adjacency):
+    _MEANS["on"] = _bench_local(benchmark, adjacency, fault_tolerance=True)
+    if "off" in _MEANS:
+        overhead = _MEANS["on"] / _MEANS["off"] - 1.0
+        # deferring commits + progress table should be a bounded tax
+        assert overhead < 1.0, f"fault tolerance costs {overhead:.0%}; expected < 100%"
+
+
+def test_local_with_injected_failures(benchmark, adjacency):
+    def injector_factory():
+        injector = FailureInjector()
+        for part in range(4):
+            injector.schedule(part=part, step=1, times=1)
+        return injector
+
+    _MEANS["failures"] = _bench_local(
+        benchmark, adjacency, fault_tolerance=True, injector_factory=injector_factory
+    )
+    if "on" in _MEANS:
+        # four retried part-steps out of 4 parts x 5 steps ≈ +20% work
+        assert _MEANS["failures"] < _MEANS["on"] * 2.0
 
 
 def _run(adjacency, chaos: bool, checkpoint_dir=None) -> dict:
@@ -58,7 +119,7 @@ def _run(adjacency, chaos: bool, checkpoint_dir=None) -> dict:
     )
     injector = None
     if chaos:
-        injector = ProcessFailureInjector(tempfile.mkdtemp(prefix="bench_chaos_"))
+        injector = FailureInjector()
         injector.schedule_kill(part=1, step=1)
         injector.schedule_kill(part=2, step=2)
         injector.schedule_hang(part=3, step=3, seconds=HANG_SECONDS)

@@ -23,8 +23,9 @@ The engine honors the Section II-A execution special cases: it skips
 sorting unless the job ``needs_order``, skips value-list collection for
 ``one-msg ∧ no-continue`` jobs, and (with ``fault_tolerance=True``)
 implements the outlined recovery scheme — part-step writes buffer until
-a commit point, a progress table maps part → completed step, and a
-failed part-step is re-driven from its retained input spills.
+a commit point, a progress table maps part → completed step, and the
+driver re-drives any failed part-step (a simulated failure or a lost
+worker process) from its retained input spills.
 """
 
 from __future__ import annotations
@@ -409,9 +410,9 @@ class _PartStepResult:
 
     When the part-step ran *shipped* (in a worker process), the result
     additionally carries everything the child engine copy accumulated
-    on the side: its spill ledger, its counter/maximum deltas, buffered
-    direct outputs, and the injected-failure count.  The parent folds
-    these at :meth:`SyncEngine._finish_step`.
+    on the side: its spill ledger, its counter/maximum deltas, and
+    buffered direct outputs.  The parent folds these at
+    :meth:`SyncEngine._finish_step`.
     """
 
     __slots__ = (
@@ -426,7 +427,6 @@ class _PartStepResult:
         "counters",
         "maxima",
         "outputs",
-        "injected",
         "part_seconds",
     )
 
@@ -452,7 +452,6 @@ class _PartStepResult:
         self.counters: Dict[str, int] = {}
         self.maxima: Dict[str, int] = {}
         self.outputs: List[Tuple[Any, Any]] = []
-        self.injected = 0
         # per-physical-part wall seconds (the elastic load signal)
         self.part_seconds: Dict[int, float] = {}
 
@@ -499,7 +498,6 @@ class _StepConsumer(PartConsumer):
             for name, value in side.maxima.items():
                 out.maxima[name] = max(out.maxima.get(name, 0), value)
             out.outputs.extend(side.outputs)
-            out.injected += side.injected
             out.part_seconds.update(side.part_seconds)
         return out
 
@@ -853,18 +851,6 @@ class SyncEngine(JobFrame):
         self._is_shipped = False
         self._has_direct_exporter = self._direct_exporter is not None
         self._ship_parts = self._preflight_shipping(ship_compute)
-        # -- real crash tolerance -------------------------------------
-        # Simulated failures (SimulatedFailure) retry inside the part-step
-        # on every configuration; surviving a real worker death takes the
-        # whole stack: shipped part-steps (so a part-step failure is one
-        # future, not the job), per-part futures, and a store that mirrors
-        # resident parts parent-side so a respawned worker can be rebuilt.
-        self._ft_real = (
-            fault_tolerance
-            and self._ship_parts
-            and hasattr(self._transport, "submit_part_steps")
-            and bool(getattr(store, "crash_tolerance", False))
-        )
 
     def _preflight_shipping(self, ship_compute: Optional[bool]) -> bool:
         """Decide whether part-steps ship to worker processes.
@@ -1261,7 +1247,7 @@ class SyncEngine(JobFrame):
             self._progress.mark_completed_many(skipped, step)
         with self._tracer.span("superstep", cat="engine", lane="driver", step=step) as step_span:
             with self._tracer.span("barrier", cat="engine", lane="driver", step=step):
-                if self._ft_real:
+                if self._fault_tolerance:
                     result = self._enumerate_parts_ft(step, active)
                 else:
                     result = self._transport.enumerate_parts(
@@ -1323,7 +1309,7 @@ class SyncEngine(JobFrame):
                     partial = agg.merge(partial, agg.create())
                 result.agg_partials[name] = partial
         self._finish_aggregation(result.agg_partials)
-        if self._ft_real:
+        if self._fault_tolerance and self._ship_parts:
             # retained part-step results have been folded; drop them
             self._progress.clear_partials(active, step)
         with self._spill_lock:
@@ -1348,26 +1334,27 @@ class SyncEngine(JobFrame):
         if result.outputs and self._direct_exporter is not None:
             for key, value in result.outputs:
                 self._direct_exporter.export(key, value)
-        if result.injected and self._failure_injector is not None:
-            self._failure_injector.failures_injected += result.injected
 
-    # -- real-crash part-step recovery ---------------------------------------
+    # -- part-step recovery ----------------------------------------------------
     def _enumerate_parts_ft(self, step: int, active: List[int]) -> "_PartStepResult":
         """One step's part-steps as individually re-drivable futures.
 
-        The crash-tolerant analogue of ``transport.enumerate_parts``:
-        each part-step is one future, and a future failing with
-        :class:`~repro.runtime.retry.WorkerLostError` (the worker died
-        or was killed for blowing its deadline) costs only that
-        part-step.  Recovery follows the paper's §IV-A outline against a
-        *real* crash: consult the progress table — a part that committed
-        before its worker died contributes its retained partial; a part
-        that did not gets the failed attempt's spills deleted and is
-        re-driven from its retained input spills, on whatever worker now
-        owns the part (the respawned child, or the parent after
-        degradation).  Results fold in part order, so recovery never
-        perturbs aggregation order.
+        The fault-tolerant analogue of ``transport.enumerate_parts``, and
+        the one recovery policy for every failed part-step: a
+        :class:`~repro.ebsp.recovery.SimulatedFailure` raised in the
+        part-step and a :class:`~repro.runtime.retry.WorkerLostError`
+        (the worker died or was killed for blowing its deadline) fail
+        only that part's future.  Recovery follows the paper's §IV-A
+        outline: count a retry, consult the progress table — a part that
+        committed before its worker died contributes its retained
+        partial; a part that did not gets the failed attempt's spills
+        deleted and is re-driven alone from its retained input spills,
+        on whatever worker now owns the part (the respawned child, or
+        the parent after degradation).  Past :data:`MAX_RETRIES` the
+        last failure propagates unchanged.  Results fold in part order,
+        so recovery never perturbs aggregation order.
         """
+        from repro.runtime.api import finished_future
         from repro.runtime.retry import WorkerLostError
 
         consumer = _StepConsumer(self, step)
@@ -1375,20 +1362,21 @@ class SyncEngine(JobFrame):
         results: Dict[int, _PartStepResult] = {}
         attempts: Dict[int, int] = {}
         while pending:
-            still_pending: Dict[int, Any] = {}
-            for part, future in pending.items():
+            failed = []
+            for part in sorted(pending):
                 try:
-                    results[part] = future.result()
-                    continue
-                except WorkerLostError as exc:
-                    failure = exc
-                self._counters.add("part_step_retries")
-                attempts[part] = attempts.get(part, 0) + 1
-                if attempts[part] > MAX_RETRIES:
-                    raise RecoveryError(
-                        f"part {part} failed step {step} {attempts[part]} times; "
-                        f"giving up: {failure}"
-                    ) from failure
+                    results[part] = pending.pop(part).result()
+                except (SimulatedFailure, WorkerLostError) as exc:
+                    self._counters.add("part_step_retries")
+                    attempts[part] = attempts.get(part, 0) + 1
+                    if attempts[part] > MAX_RETRIES:
+                        raise
+                    # a retried failure's traceback holds the frames that
+                    # dispatched it (and their futures): drop it, or it
+                    # keeps this engine in a cycle
+                    exc.with_traceback(None)
+                    failed.append(part)
+            for part in failed:
                 try:
                     if self._progress.completed_step(part) >= step:
                         # committed, then died before its result frame
@@ -1399,20 +1387,17 @@ class SyncEngine(JobFrame):
                             results[part] = self._recovered_result(partial)
                             continue
                     self._discard_failed_writes(part, step)
-                    still_pending[part] = self._transport.submit_part_steps(
-                        consumer, parts=[part]
-                    )[part]
-                except WorkerLostError:
+                    pending.update(
+                        self._transport.submit_part_steps(consumer, parts=[part])
+                    )
+                except WorkerLostError as exc:
                     # Recovery itself tripped over a dead worker — the
                     # progress consult, discard, or resubmit landed in
                     # another casualty's mid-respawn window.  Try again on
                     # the next sweep, against the same retry budget, paced
                     # so a slow respawn cannot drain the budget in a spin.
-                    from repro.runtime.api import finished_future
-
                     time.sleep(min(0.1 * attempts[part], 1.0))
-                    still_pending[part] = finished_future(exception=failure)
-            pending = still_pending
+                    pending[part] = finished_future(exception=exc.with_traceback(None))
         combined: Optional[_PartStepResult] = None
         for part in sorted(results):
             combined = (
@@ -1432,7 +1417,6 @@ class SyncEngine(JobFrame):
         result.counters = partial["counters"]
         result.maxima = partial["maxima"]
         result.outputs = partial["outputs"]
-        result.injected = partial["injected"]
         return result
 
     def _discard_failed_writes(self, part: int, step: int) -> None:
@@ -1463,32 +1447,7 @@ class SyncEngine(JobFrame):
 
     # -- one part's slice of one step -----------------------------------------------
     def _run_part_step(self, part: int, view: Any, step: int) -> _PartStepResult:
-        attempts = 0
-        while True:
-            try:
-                result = self._attempt_part_step(part, view, step)
-                break
-            except SimulatedFailure:
-                attempts += 1
-                self._counters.add("part_step_retries")
-                if attempts > MAX_RETRIES:
-                    raise
-                # Nothing was committed; the spills for this step are still
-                # in the transport table, so simply retry.
-        if self._is_shipped:
-            # attach everything this child-side engine copy accumulated,
-            # for the parent to fold after the barrier
-            with self._spill_lock:
-                result.spills = {
-                    s: dict(per_part) for s, per_part in self._spilled_per_step.items()
-                }
-            result.counters, result.maxima = self._counters.split_snapshot()
-            if self._failure_injector is not None:
-                result.injected = self._failure_injector.failures_injected
-        return result
-
-    def _attempt_part_step(self, part: int, view: Any, step: int) -> _PartStepResult:
-        """One attempt at one part's slice of one step.
+        """One part's slice of one step.
 
         The plan's shape (a stateless class, so the engine holds it
         without a cycle) supplies the two halves that differ: ``collect``
@@ -1551,6 +1510,13 @@ class SyncEngine(JobFrame):
         )
         result.part_seconds = {part: t_done - t_start}
         if self._is_shipped:
+            # attach everything this child-side engine copy accumulated,
+            # for the parent to fold after the barrier
+            with self._spill_lock:
+                result.spills = {
+                    s: dict(per_part) for s, per_part in self._spilled_per_step.items()
+                }
+            result.counters, result.maxima = self._counters.split_snapshot()
             result.outputs = ctx.direct_outputs
         return result
 
@@ -1579,7 +1545,7 @@ class SyncEngine(JobFrame):
                 # outputs ride back on the result instead
                 for key, value in ctx.direct_outputs:
                     self._direct_exporter.export(key, value)
-            if self._ft_real and self._is_shipped:
+            if self._is_shipped:
                 # Retain the fold input next to the completion mark (same
                 # part of the progress table, same worker, same mutation
                 # journal): if this worker dies after committing but
@@ -1603,11 +1569,6 @@ class SyncEngine(JobFrame):
                         "outputs": ctx.direct_outputs,
                         "counters": counters,
                         "maxima": maxima,
-                        "injected": (
-                            self._failure_injector.failures_injected
-                            if self._failure_injector is not None
-                            else 0
-                        ),
                     },
                 )
             self._progress.mark_completed(part, step)

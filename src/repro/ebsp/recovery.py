@@ -6,26 +6,31 @@ right order; recover from primary shard failure by deleting writes done
 by the failed shard(s) and retry."
 
 The synchronous engine implements exactly that shape when constructed
-with ``fault_tolerance=True``:
+with ``fault_tolerance=True``, as one policy for every failed part-step
+— a simulated failure and a lost worker process alike, on every store:
 
 - every part-step buffers its state writes and outgoing spills until a
   single *commit point* at the end of the part-step;
-- a progress table maps part → completed step, updated at commit;
-- a simulated failure before the commit point leaves no trace — the
-  engine discards the buffers and re-drives the part-step from the
-  retained input spills ("deleting writes done by the failed shard and
-  retry").
+- a progress table maps part → completed step, updated at commit (a
+  shipped part-step also retains its fold input there);
+- the driver waits on one future per part-step; a failed one is
+  re-driven alone — from its retained partial when the progress table
+  says it committed, else after deleting the spills the failed attempt
+  shipped, from its retained input spills ("deleting writes done by the
+  failed shard and retry").
 
 :class:`FailureInjector` is the testing hook that makes a chosen
-part-step crash a chosen number of times.
+part-step raise, lose its worker process, hang, or straggle.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import signal
-import threading
+import tempfile
 import time
+import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import RecoveryError
@@ -40,70 +45,37 @@ class SimulatedFailure(Exception):
         self.part = part
         self.step = step
 
+    def __reduce__(self):
+        return (SimulatedFailure, (self.part, self.step))
+
 
 class FailureInjector:
-    """Schedules part-step crashes for tests and ablation benches.
+    """Schedules part-step failures for tests and ablation benches.
 
     ``schedule(part, step, times)`` makes the given part-step raise
-    :class:`SimulatedFailure` the first *times* times it is attempted.
-    The injector is consulted by the engine via :meth:`check`, which is
-    called once per attempt, *mid-step* — after some state writes have
-    been buffered, so recovery actually has something to discard.
+    :class:`SimulatedFailure` the first *times* times it is attempted;
+    ``schedule_kill`` SIGKILLs the worker process running it (a raise
+    off the process runtime, where killing the pid would take the whole
+    job down); ``schedule_hang`` and ``schedule_delay`` sleep mid-step,
+    past or under the runtime's task deadline.  The engine consults
+    :meth:`check` once per invocation, *mid-step* — after some state
+    writes have been buffered, so recovery has something to discard.
+
+    The ledger is one claim token per scheduled occurrence, created
+    with ``O_EXCL`` in a private temporary directory: a claim survives
+    the claiming process's own SIGKILL, and a re-driven shipped
+    part-step — a fresh pickle of the parent's engine — sees what every
+    earlier attempt claimed.  The parent removes the directory when it
+    is collected; unpickled copies never do.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._remaining: Dict[Tuple[int, int], int] = {}
-        self.failures_injected = 0
+        self._plan: Dict[Tuple[int, int], List[Tuple[str, float, str]]] = {}
+        self._dir: Optional[str] = None
 
     def schedule(self, part: int, step: int, times: int = 1) -> None:
-        if times <= 0:
-            raise ValueError("times must be positive")
-        with self._lock:
-            self._remaining[(part, step)] = self._remaining.get((part, step), 0) + times
-
-    def check(self, part: int, step: int) -> None:
-        with self._lock:
-            left = self._remaining.get((part, step), 0)
-            if left > 0:
-                self._remaining[(part, step)] = left - 1
-                self.failures_injected += 1
-                raise SimulatedFailure(part, step)
-
-    def __getstate__(self) -> dict:
-        # A copy shipped to a worker process starts with a zeroed
-        # injection count: the engine folds each part-step's child-side
-        # count back into the parent injector as a delta.
-        with self._lock:
-            return {"_remaining": dict(self._remaining), "failures_injected": 0}
-
-    def __setstate__(self, state: dict) -> None:
-        self._lock = threading.Lock()
-        self._remaining = state["_remaining"]
-        self.failures_injected = state["failures_injected"]
-
-
-class ProcessFailureInjector:
-    """Chaos injector that really kills worker processes (and hangs them).
-
-    Where :class:`FailureInjector` raises an exception inside a live
-    worker, this one SIGKILLs the worker process mid-part-step, or
-    sleeps past the runtime's task deadline so the parent kills it.  A
-    ``delay`` keeps the sleep *under* the deadline — a straggler, not a
-    casualty.
-
-    The claim ledger lives in token files under *token_dir* rather than
-    in memory: a claim must survive the claiming process's own SIGKILL,
-    or the re-driven part-step would claim again and die again, forever.
-    ``check(part, step)`` is driven by the engine's existing mid-step
-    injection hook, so every injected crash lands after state writes
-    have been buffered — recovery has something real to discard.
-    """
-
-    def __init__(self, token_dir: str):
-        self._token_dir = token_dir
-        self._plan: Dict[Tuple[int, int], List[Tuple[str, float, str]]] = {}
-        self.failures_injected = 0
+        """Raise :class:`SimulatedFailure` in this part-step, *times* times."""
+        self._schedule("raise", part, step, 0.0, times)
 
     def schedule_kill(self, part: int, step: int, times: int = 1) -> None:
         """SIGKILL the worker running this part-step, *times* times."""
@@ -120,57 +92,44 @@ class ProcessFailureInjector:
     def _schedule(self, kind: str, part: int, step: int, seconds: float, times: int) -> None:
         if times <= 0:
             raise ValueError("times must be positive")
+        if self._dir is None:
+            self._dir = tempfile.mkdtemp(prefix="ripple_faults_")
+            weakref.finalize(self, shutil.rmtree, self._dir, True)
         entries = self._plan.setdefault((part, step), [])
         for _ in range(times):
-            entries.append((kind, seconds, f"{kind}_{part}_{step}_{len(entries)}.token"))
+            token = os.path.join(self._dir, f"{kind}_{part}_{step}_{len(entries)}")
+            entries.append((kind, seconds, token))
 
     def check(self, part: int, step: int) -> None:
+        """Fire the first unclaimed occurrence scheduled for this part-step."""
         for kind, seconds, token in self._plan.get((part, step), ()):
-            path = os.path.join(self._token_dir, token)
             try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                os.close(os.open(token, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
             except FileExistsError:
-                continue  # this occurrence already fired (possibly pre-crash)
-            os.close(fd)
-            self.failures_injected += 1
+                continue  # claimed by an earlier attempt (possibly pre-crash)
             if kind == "kill":
                 from repro.runtime.process import current_child_context
 
                 if current_child_context() is not None:
                     os.kill(os.getpid(), signal.SIGKILL)
-                # Thread/inline mode: killing the pid would take the whole
-                # job down, so degrade to the simulated-crash path.
-                raise SimulatedFailure(part, step)
-            time.sleep(seconds)
+            elif kind != "raise":
+                time.sleep(seconds)
+                return
+            raise SimulatedFailure(part, step)
 
     def claimed(self, kind: Optional[str] = None) -> int:
-        """How many scheduled occurrences actually fired (parent-readable).
+        """How many scheduled occurrences (of *kind*) actually fired."""
+        return sum(
+            os.path.exists(token)
+            for entries in self._plan.values()
+            for entry_kind, _, token in entries
+            if kind is None or entry_kind == kind
+        )
 
-        The in-memory ``failures_injected`` count dies with the killed
-        process; the token files are the durable record.
-        """
-        count = 0
-        for entries in self._plan.values():
-            for entry_kind, _, token in entries:
-                if kind is not None and entry_kind != kind:
-                    continue
-                if os.path.exists(os.path.join(self._token_dir, token)):
-                    count += 1
-        return count
-
-    def __getstate__(self) -> dict:
-        # Like FailureInjector: shipped copies start at zero so child-side
-        # counts fold back into the parent as deltas.
-        return {
-            "_token_dir": self._token_dir,
-            "_plan": dict(self._plan),
-            "failures_injected": 0,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self._token_dir = state["_token_dir"]
-        self._plan = state["_plan"]
-        self.failures_injected = state["failures_injected"]
+    @property
+    def failures_injected(self) -> int:
+        """Claimed tokens of every kind (durable across worker deaths)."""
+        return self.claimed()
 
 
 def _progress_part(key: Any) -> int:

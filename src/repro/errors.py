@@ -9,7 +9,21 @@ from __future__ import annotations
 
 
 class RippleError(Exception):
-    """Base class for all errors raised by this library."""
+    """Base class for all errors raised by this library.
+
+    Errors pickle by type, ``args`` and fields (a shipped part-step's
+    failure crosses a process boundary), never by re-calling a subclass
+    ``__init__`` whose signature is not ``args``.
+    """
+
+    def __reduce__(self):
+        return (_restore_error, (type(self), self.args, self.__dict__))
+
+
+def _restore_error(cls: type, args: tuple, fields: dict) -> RippleError:
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(fields)
+    return error
 
 
 class StoreError(RippleError):

@@ -47,7 +47,7 @@ import abc
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import (
     BadTableSpecError,
@@ -643,6 +643,20 @@ class Table(abc.ABC):
         )
         return fold_part_results(consumer, results)
 
+    def submit_part_steps(
+        self, consumer: PartConsumer, parts: Optional[Iterable[int]] = None
+    ) -> Dict[int, Future]:
+        """:meth:`enumerate_parts` without the fold: ``{part: Future}``.
+
+        A failure — in the consumer, or the loss of the worker running
+        it — fails only that part's future, so the caller can re-drive
+        just that part (a shipped consumer pickles fresh per submission).
+        """
+        self._check()
+        indices = self._part_indices(parts)
+        futures = self._dispatch(indices, self._enum_ops(consumer).process_part, consumer)
+        return dict(zip(indices, futures))
+
     def enumerate_pairs(self, consumer: PairConsumer, parts: Optional[Iterable[int]] = None) -> Any:
         """Run *consumer* over every pair of each part and fold per-part results."""
         self._check()
@@ -740,12 +754,13 @@ class Table(abc.ABC):
         requests do it here."""
         return self._submit(part_index, op, batch, readonly=readonly)
 
-    def _gather(self, indices: list, fn: Callable[..., Any], *args: Any) -> list:
-        """Run ``fn(part_index, view, *args)`` at each part on the long
-        lane, concurrently; return the results in *indices* order.
+    def _dispatch(self, indices: list, fn: Callable[..., Any], *args: Any) -> List[Future]:
+        """Start ``fn(part_index, view, *args)`` at each part on the long
+        lane, concurrently; return its futures in *indices* order.
 
-        Parts served by the calling thread's own worker run inline —
-        waiting on our own serialized long slot would deadlock.
+        Parts served by the calling thread's own worker run inline, after
+        the others are dispatched — waiting on our own serialized long
+        slot would deadlock.
         """
         runtime = self._store.runtime
         here = runtime.current_worker()
@@ -755,9 +770,13 @@ class Table(abc.ABC):
             if runtime.worker_of(i) != here
         }
         return [
-            futures[i].result() if i in futures else fn(i, self._view(i), *args)
+            futures[i] if i in futures else run_to_future(fn, i, self._view(i), *args)
             for i in indices
         ]
+
+    def _gather(self, indices: list, fn: Callable[..., Any], *args: Any) -> list:
+        """:meth:`_dispatch`, then wait: the results in *indices* order."""
+        return [future.result() for future in self._dispatch(indices, fn, *args)]
 
 
 class KVStore(abc.ABC):

@@ -59,7 +59,7 @@ import threading
 import time
 import uuid
 from concurrent.futures import Future
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.kvstore.api import (
     KVStore,
@@ -81,7 +81,7 @@ from repro.runtime.process import (
     journal_enabled,
 )
 from repro.runtime.retry import WorkerLostError
-from repro.runtime.shipping import CONSUMER_SHIP_ATTR, ShippingError, is_shippable
+from repro.runtime.shipping import ShippingError, is_shippable
 from repro.serde import Codec, SerdeStats
 
 
@@ -477,7 +477,23 @@ class _ChildTable(Table):
             "parent-side only in a worker process"
         )
 
-    _gather = _view  # the long lane is parent-side too
+    _dispatch = _view  # the long lane is parent-side too
+
+
+def _marshalled(inner: Future, codec: Any) -> Future:
+    """*inner*'s result, marshalled back across a partition boundary on
+    the thread that completes it."""
+    outer: Future = Future()
+
+    def _marshal_result(done: Future) -> None:
+        try:
+            result = done.result()
+            outer.set_result(codec.roundtrip(result) if result is not None else None)
+        except BaseException as exc:
+            outer.set_exception(exc)
+
+    inner.add_done_callback(_marshal_result)
+    return outer
 
 
 class PartitionedTable(Table):
@@ -571,18 +587,7 @@ class PartitionedTable(Table):
             return run_to_future(op, view, *args)
         codec = self._store._codec
         remote_args = codec.roundtrip(args) if (args and not readonly) else args
-        inner = runtime.submit(part_index, op, view, *remote_args)
-        outer: Future = Future()
-
-        def _marshal_result(done: Future) -> None:
-            try:
-                result = done.result()
-                outer.set_result(codec.roundtrip(result) if result is not None else None)
-            except BaseException as exc:
-                outer.set_exception(exc)
-
-        inner.add_done_callback(_marshal_result)
-        return outer
+        return _marshalled(runtime.submit(part_index, op, view, *remote_args), codec)
 
     def _send_batch(self, part_index: int, op: Callable[..., Any], batch: list, readonly: bool = False) -> Future:
         """One marshalled request per per-part batch; a batch crossing
@@ -592,7 +597,7 @@ class PartitionedTable(Table):
             self._store.stats.record_batch(len(batch))
         return self._submit(part_index, op, batch, readonly=readonly)
 
-    def _gather(self, indices: list, fn: Callable[..., Any], *args: Any) -> list:
+    def _dispatch(self, indices: list, fn: Callable[..., Any], *args: Any) -> list:
         store = self._store
         runtime = store.runtime
         if store._process_mode:
@@ -605,49 +610,23 @@ class PartitionedTable(Table):
                 # setup/consume/finish sequence stays contiguous.
                 snapshots = [runtime.submit(i, _op_items, self._views[i]) for i in indices]
                 return [
-                    consume_items(i, future.result(), *args)
+                    run_to_future(consume_items, i, future.result(), *args)
                     for i, future in zip(indices, snapshots)
                 ]
             if is_shippable(fn):
                 # a shipped task runs in the part's owner process, wherever
                 # the caller is; its result is already a cross-process copy
-                futures = [
+                return [
                     runtime.submit_long(i, fn, i, self._views[i], *args) for i in indices
                 ]
-                return [future.result() for future in futures]
-            return super()._gather(indices, fn, *args)
+            return super()._dispatch(indices, fn, *args)
         here = runtime.current_worker()
         codec = store._codec
         # results from other partitions cross the boundary like any message
         return [
-            codec.roundtrip(result)
-            if result is not None and runtime.worker_of(i) != here
-            else result
-            for i, result in zip(indices, super()._gather(indices, fn, *args))
+            _marshalled(future, codec) if runtime.worker_of(i) != here else future
+            for i, future in zip(indices, super()._dispatch(indices, fn, *args))
         ]
-
-    def submit_part_steps(
-        self, consumer: PartConsumer, parts: Optional[Iterable[int]] = None
-    ) -> dict:
-        """Dispatch a shipped consumer per part; return ``{part: Future}``.
-
-        The fault-tolerant engine's building block: unlike
-        :meth:`enumerate_parts` it hands back the individual futures, so
-        a worker loss fails only that part's future and the caller can
-        re-drive just the lost part-steps.  Each submission pickles the
-        consumer fresh, so a re-driven part-step starts from a clean copy.
-        """
-        self._check()
-        if not self._store._process_mode or not getattr(consumer, CONSUMER_SHIP_ATTR, False):
-            raise ShippingError(
-                f"table {self.name!r}: submit_part_steps needs a process runtime "
-                "and a shippable consumer"
-            )
-        runtime = self._store.runtime
-        return {
-            i: runtime.submit_long(i, _enum_parts_op, i, self._views[i], consumer)
-            for i in self._part_indices(parts)
-        }
 
 
 class PartitionedKVStore(KVStore):

@@ -22,7 +22,7 @@ from repro.apps.pagerank import (
 )
 from repro.ebsp.checkpoint import CheckpointManager
 from repro.ebsp.loaders import MessageListLoader
-from repro.ebsp.recovery import ProcessFailureInjector
+from repro.ebsp.recovery import FailureInjector
 from repro.ebsp.runner import run_job
 from repro.errors import ComputeError, JobSpecError, RecoveryError
 from repro.kvstore.local import LocalKVStore
@@ -68,7 +68,7 @@ class TestRealCrashRecovery:
         the final ranks byte-identical to a failure-free run."""
         _, clean_blob = _pagerank()
 
-        injector = ProcessFailureInjector(str(tmp_path))
+        injector = FailureInjector()
         injector.schedule_kill(part=1, step=1)
         injector.schedule_kill(part=2, step=2)
         injector.schedule_hang(part=3, step=3, seconds=20.0)

@@ -6,9 +6,10 @@ copy a worker unpickles per shipped part-step — pile up between
 collections and job time follows the collector's schedule.  With the
 collector off, a finished engine must die with its last reference.
 Each SyncEngine case runs one shape of part-step: per-key, columnar,
-the columnar shape falling back to per-key, and no-collect; each
-AsyncEngine case runs one way an idle worker waits: parking or work
-stealing.
+the columnar shape falling back to per-key, and no-collect, once clean
+and once with injected failures recovered by the driver's retry loop;
+each AsyncEngine case runs one way an idle worker waits: parking or
+work stealing.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.ebsp.engine import (
 )
 from repro.ebsp.loaders import MessageListLoader
 from repro.ebsp.properties import JobProperties
+from repro.ebsp.recovery import FailureInjector
 from repro.kvstore.partitioned import PartitionedKVStore
 
 from tests.ebsp.jobs import TestJob
@@ -74,6 +76,38 @@ def test_finished_engine_dies_with_its_last_reference(plan, runtime):
         assert result.steps > 0
         if plan == "fallback":
             assert result.counters["batch_fallbacks"] == 1
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+        store.close()
+
+
+@pytest.mark.parametrize("runtime", ["inline", "threaded"])
+@pytest.mark.parametrize("plan", sorted(PLANS))
+def test_engine_that_recovered_failures_dies_with_its_last_reference(plan, runtime):
+    """A failed part-step's exception and traceback travel through
+    futures back to the driver; none of them may keep the engine in a
+    cycle."""
+    make_job, options, shape = PLANS[plan]
+    n_partitions = 1 if plan == "fallback" else 2
+    store = PartitionedKVStore(n_partitions=n_partitions, runtime=runtime)
+    injector = FailureInjector()
+    for part in range(n_partitions):
+        injector.schedule(part=part, step=0, times=2)
+        injector.schedule(part=part, step=1)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        engine = SyncEngine(
+            store, make_job(), fault_tolerance=True, failure_injector=injector, **options
+        )
+        assert engine._shape is shape
+        result = engine.run()
+        assert result.counters["part_step_retries"] == injector.failures_injected > 0
         ref = weakref.ref(engine)
         del engine
         assert ref() is None
