@@ -31,7 +31,6 @@ worker process) from its retained input spills.
 from __future__ import annotations
 
 import pickle
-import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -48,7 +47,7 @@ from repro.ebsp.frame import FrameContext, JobFrame
 from repro.ebsp.job import BaseContext, BatchComputeContext, Compute, Job
 from repro.ebsp.loaders import StagedLoaderContext
 from repro.ebsp.recovery import FailureInjector, ProgressTable, SimulatedFailure
-from repro.ebsp.results import Counters, JobResult
+from repro.ebsp.results import JobResult
 from repro.obs.trace import activate, get_tracer
 from repro.runtime.shipping import CONSUMER_SHIP_ATTR, ShippingError
 from repro.ebsp.transport import (
@@ -241,21 +240,10 @@ class _StepContext(FrameContext):
         return self._engine._agg_values.get(name)
 
     def direct_job_output(self, key: Any, value: Any) -> None:
-        engine = self._engine
-        if engine._is_shipped:
-            # Running inside a worker process: the exporter lives in the
-            # parent, so buffer (when the parent has one) and ship the
-            # outputs back with the part-step result.
-            if engine._has_direct_exporter:
-                self.direct_outputs.append((key, value))
-            return
-        exporter = engine._direct_exporter
-        if exporter is None:
-            return
-        if engine._fault_tolerance:
+        # buffered onto the part-step result; the driver exports after
+        # the barrier (the exporter itself never leaves the parent)
+        if self._engine._has_direct_exporter:
             self.direct_outputs.append((key, value))
-        else:
-            exporter.export(key, value)
 
 
 class _BatchStepContext(BatchComputeContext):
@@ -408,11 +396,11 @@ class _PartStepResult:
     recovers the step's total barrier wait as
     ``n_timed * t_barrier − finished_sum``.
 
-    When the part-step ran *shipped* (in a worker process), the result
-    additionally carries everything the child engine copy accumulated
-    on the side: its spill ledger, its counter/maximum deltas, and
-    buffered direct outputs.  The parent folds these at
-    :meth:`SyncEngine._finish_step`.
+    It also carries everything else the part-step did, wherever it ran:
+    its spill ledger (records per destination part, keyed by write
+    step), its counter and maximum deltas, and its buffered direct
+    outputs.  A part-step writes no engine state; the driver folds
+    these once, after the barrier (:meth:`SyncEngine._fold`).
     """
 
     __slots__ = (
@@ -447,13 +435,28 @@ class _PartStepResult:
         self.flush_seconds = flush_seconds
         self.finished_sum = finished_sum
         self.n_timed = n_timed
-        # shipped-execution deltas; empty when the part-step ran in-process
         self.spills: Dict[int, Dict[int, int]] = {}
         self.counters: Dict[str, int] = {}
         self.maxima: Dict[str, int] = {}
         self.outputs: List[Tuple[Any, Any]] = []
         # per-physical-part wall seconds (the elastic load signal)
         self.part_seconds: Dict[int, float] = {}
+
+
+def _harvest_writer(writer: SpillWriter, write_step: int, result: _PartStepResult) -> None:
+    """One writer's spill ledger and transport counters onto *result*."""
+    result.records_out = writer.records_written
+    if writer.spilled:
+        result.spills = {write_step: dict(writer.spilled)}
+        result.counters["records_spilled"] = sum(writer.spilled.values())
+    result.counters["messages_sent"] = writer.messages_added
+    if writer.messages_combined:
+        result.counters["messages_combined"] = writer.messages_combined
+    if writer.spills_sealed:
+        result.counters["spills_written"] = writer.spills_sealed
+    if writer.batches_dispatched:
+        result.counters["transport_batches"] = writer.batches_dispatched
+    result.maxima["spill_in_flight_hwm"] = writer.in_flight_hwm
 
 
 class _StepConsumer(PartConsumer):
@@ -729,7 +732,6 @@ class SyncEngine(JobFrame):
         batch_compute: Optional[bool] = None,
         checkpoint_interval: int = 0,
         checkpoint_dir: Optional[str] = None,
-        job_key: Optional[str] = None,
         resume: bool = False,
         elastic: Any = None,
         on_step: Optional[Any] = None,
@@ -787,7 +789,7 @@ class SyncEngine(JobFrame):
             from repro.ebsp.checkpoint import CheckpointManager
 
             self._checkpoints: Optional[CheckpointManager] = CheckpointManager(
-                store, job_key or type(job).__name__, directory=checkpoint_dir
+                store, type(job).__name__, directory=checkpoint_dir
             )
         else:
             self._checkpoints = None
@@ -839,16 +841,12 @@ class SyncEngine(JobFrame):
             )
         else:
             self._progress = None
-        # records spilled per (step, dest part), guarded by a lock (written
-        # from many parts); this is what active-part scheduling reads
-        self._spill_lock = threading.Lock()
+        # records spilled per (step, dest part), folded from part-step
+        # results at each barrier; this is what active-part scheduling reads
         self._spilled_per_step: Dict[int, Dict[int, int]] = {}
         self._timeline: list = []
-        # -- compute shipping (process runtimes) --------------------------
-        # True in a copy of this engine that was unpickled inside a
-        # worker process; such a copy accumulates counters/spills/outputs
-        # locally and ships them back with its _PartStepResult.
-        self._is_shipped = False
+        # the exporter stays in the parent; a shipped copy still needs
+        # to know whether to buffer direct outputs
         self._has_direct_exporter = self._direct_exporter is not None
         self._ship_parts = self._preflight_shipping(ship_compute)
 
@@ -894,7 +892,6 @@ class SyncEngine(JobFrame):
         process's resident parts.
         """
         state = self.__dict__.copy()
-        state["_is_shipped"] = True
         for name in (
             "_store",
             "_job",
@@ -904,7 +901,6 @@ class SyncEngine(JobFrame):
             "_runtime",
             "_runtime_baseline",
             "_stats_baseline",
-            "_spill_lock",
             "_spilled_per_step",
             "_part_cache",
             "_timeline",
@@ -922,11 +918,7 @@ class SyncEngine(JobFrame):
         # unpickling happens inside the worker's tracer activation, so
         # the child copy's spans land in the lane being replayed
         self._tracer = get_tracer()
-        self._counters = Counters()
-        self._spill_lock = threading.Lock()
-        self._spilled_per_step = {}
         self._part_cache = {}
-        self._timeline = []
 
     # -- setup -----------------------------------------------------------------
     def _resolve_tables(self) -> None:
@@ -993,21 +985,13 @@ class SyncEngine(JobFrame):
             count=len(keys),
         )
 
-    def _record_spill(self, step: int, dest_part: int, n_records: int) -> None:
-        with self._spill_lock:
-            per_part = self._spilled_per_step.setdefault(step, {})
-            per_part[dest_part] = per_part.get(dest_part, 0) + n_records
-        self._counters.add("records_spilled", n_records)
-
     def _pending_records(self, step: int) -> int:
-        with self._spill_lock:
-            return sum(self._spilled_per_step.get(step, {}).values())
+        return sum(self._spilled_per_step.get(step, {}).values())
 
     def _active_parts(self, step: int) -> List[int]:
         """Parts with at least one pending record for *step*."""
-        with self._spill_lock:
-            per_part = self._spilled_per_step.get(step, {})
-            return sorted(part for part, count in per_part.items() if count > 0)
+        per_part = self._spilled_per_step.get(step, {})
+        return sorted(part for part, count in per_part.items() if count > 0)
 
     def _make_writer(
         self, src_part: int, write_step: int, combine_step: int, hold: bool
@@ -1021,7 +1005,6 @@ class SyncEngine(JobFrame):
             part_of=self._part_of,
             batch_size=self._spill_batch,
             hold=hold,
-            on_spill=lambda part, n: self._record_spill(write_step, part, n),
             combiner=self._combiner_for(combine_step),
             max_in_flight=SPILL_WINDOW,
             spills_per_batch=SPILL_COALESCE,
@@ -1030,17 +1013,6 @@ class SyncEngine(JobFrame):
             part_of_many=self._part_of_many,
             vector_combiner=self._batch_combiner_for(combine_step),
         )
-
-    def _harvest_writer(self, writer: SpillWriter) -> None:
-        """Fold one writer's transport counters into the job counters."""
-        self._counters.add("messages_sent", writer.messages_added)
-        if writer.messages_combined:
-            self._counters.add("messages_combined", writer.messages_combined)
-        if writer.spills_sealed:
-            self._counters.add("spills_written", writer.spills_sealed)
-        if writer.batches_dispatched:
-            self._counters.add("transport_batches", writer.batches_dispatched)
-        self._counters.record_max("spill_in_flight_hwm", writer.in_flight_hwm)
 
     # -- combiner plumbing -----------------------------------------------------
     def _combiner_for(self, step: int):
@@ -1144,10 +1116,9 @@ class SyncEngine(JobFrame):
         """Capture everything a resume needs to restart after *step*."""
         started = time.perf_counter()
         with self._tracer.span("checkpoint", cat="engine", lane="driver", step=step):
-            with self._spill_lock:
-                ledger = {
-                    s: dict(per_part) for s, per_part in self._spilled_per_step.items()
-                }
+            ledger = {
+                s: dict(per_part) for s, per_part in self._spilled_per_step.items()
+            }
             counters, maxima = self._counters.split_snapshot()
             payload = {
                 "job_key": self._checkpoints.job_key,
@@ -1192,10 +1163,9 @@ class SyncEngine(JobFrame):
             self._progress.table.put_many(payload["progress"])
         self._agg_values = dict(payload["agg_values"])
         self._broadcast = dict(payload["broadcast"])
-        with self._spill_lock:
-            self._spilled_per_step = {
-                s: dict(per_part) for s, per_part in payload["spill_ledger"].items()
-            }
+        self._spilled_per_step = {
+            s: dict(per_part) for s, per_part in payload["spill_ledger"].items()
+        }
         self._timeline = list(payload["timeline"])
         for name, value in payload["counters"].items():
             self._counters.add(name, value)
@@ -1211,7 +1181,9 @@ class SyncEngine(JobFrame):
         ctx = _LoaderCtx(self)
         ctx.load_all(self._job.loaders())
         ctx.writer.flush_all()
-        self._harvest_writer(ctx.writer)
+        loaded = _PartStepResult({}, 0, 0)
+        _harvest_writer(ctx.writer, 0, loaded)
+        self._fold(loaded)
         # initial aggregator inputs are readable in step 0
         self._agg_values = {
             name: agg.finish(ctx.agg_partials[name]) for name, agg in self._aggs.items()
@@ -1296,7 +1268,7 @@ class SyncEngine(JobFrame):
         skipped: List[int],
     ) -> None:
         """Post-barrier bookkeeping: counters, aggregation, spill ledger."""
-        self._fold_shipped(result)
+        self._fold(result)
         self._counters.add("compute_invocations", result.invocations)
         self._counters.add("part_steps_run", len(active))
         if skipped:
@@ -1312,26 +1284,21 @@ class SyncEngine(JobFrame):
         if self._fault_tolerance and self._ship_parts:
             # retained part-step results have been folded; drop them
             self._progress.clear_partials(active, step)
-        with self._spill_lock:
-            self._spilled_per_step.pop(step, None)
+        self._spilled_per_step.pop(step, None)
 
-    def _fold_shipped(self, result: "_PartStepResult") -> None:
-        """Fold the deltas shipped-part-steps accumulated in workers.
-
-        No-op for in-process execution (the deltas are empty — parts
-        wrote straight into the parent engine's accumulators).
-        """
-        if result.spills:
-            with self._spill_lock:
-                for step, per_part in result.spills.items():
-                    dest = self._spilled_per_step.setdefault(step, {})
-                    for part, count in per_part.items():
-                        dest[part] = dest.get(part, 0) + count
+    def _fold(self, result: "_PartStepResult") -> None:
+        """Fold a barrier's part-step deltas into the job, on the driver:
+        the spill ledger, counters, maxima, and direct outputs (exported
+        here, in part order — the combine fold's order)."""
+        for step, per_part in result.spills.items():
+            dest = self._spilled_per_step.setdefault(step, {})
+            for part, count in per_part.items():
+                dest[part] = dest.get(part, 0) + count
         for name, value in result.counters.items():
             self._counters.add(name, value)
         for name, value in result.maxima.items():
             self._counters.record_max(name, value)
-        if result.outputs and self._direct_exporter is not None:
+        if self._direct_exporter is not None:
             for key, value in result.outputs:
                 self._direct_exporter.export(key, value)
 
@@ -1384,7 +1351,7 @@ class SyncEngine(JobFrame):
                         # input
                         partial = self._progress.recorded_partial(part, step)
                         if partial is not None:
-                            results[part] = self._recovered_result(partial)
+                            results[part] = partial
                             continue
                     self._discard_failed_writes(part, step)
                     pending.update(
@@ -1406,18 +1373,6 @@ class SyncEngine(JobFrame):
                 else consumer.combine(combined, results[part])
             )
         return combined
-
-    def _recovered_result(self, partial: Dict[str, Any]) -> "_PartStepResult":
-        """Rebuild a committed part-step's fold input from its retained
-        partial (its worker died between commit and reporting)."""
-        result = _PartStepResult(
-            partial["agg"], partial["invocations"], partial["records_out"]
-        )
-        result.spills = partial["spills"]
-        result.counters = partial["counters"]
-        result.maxima = partial["maxima"]
-        result.outputs = partial["outputs"]
-        return result
 
     def _discard_failed_writes(self, part: int, step: int) -> None:
         """Delete the spills a failed part-step attempt already shipped.
@@ -1462,11 +1417,11 @@ class SyncEngine(JobFrame):
         with tracer.span("part-step", cat="engine", part=part, step=step):
             with tracer.span("collect", cat="engine", part=part, step=step):
                 collected = shape.collect(self, view, step)
-            if collected is None:
+            fell_back = collected is None
+            if fell_back:
                 # columnar keys not mutually orderable — nothing was
                 # deleted or written yet, so the per-key shape re-drives
                 # the spills
-                self._counters.add("batch_fallbacks")
                 shape = _PerKeyShape
                 with tracer.span("collect", cat="engine", part=part, step=step):
                     collected = shape.collect(self, view, step)
@@ -1496,28 +1451,19 @@ class SyncEngine(JobFrame):
 
             # ---- commit point ----
             t_commit = time.perf_counter()
-            with tracer.span("commit", cat="engine", part=part, step=step):
-                self._commit_part_step(ctx, writer, view, consumed, part, step)
-            t_done = time.perf_counter()
-        result = _PartStepResult(
-            ctx.agg_partials,
-            ctx.invocations,
-            writer.records_written,
-            compute_seconds=t_commit - t_start,
-            flush_seconds=t_done - t_commit,
-            finished_sum=t_done,
-            n_timed=1,
-        )
-        result.part_seconds = {part: t_done - t_start}
-        if self._is_shipped:
-            # attach everything this child-side engine copy accumulated,
-            # for the parent to fold after the barrier
-            with self._spill_lock:
-                result.spills = {
-                    s: dict(per_part) for s, per_part in self._spilled_per_step.items()
-                }
-            result.counters, result.maxima = self._counters.split_snapshot()
+            result = _PartStepResult(
+                ctx.agg_partials, ctx.invocations, 0, compute_seconds=t_commit - t_start
+            )
+            if fell_back:
+                result.counters["batch_fallbacks"] = 1
             result.outputs = ctx.direct_outputs
+            with tracer.span("commit", cat="engine", part=part, step=step):
+                self._commit_part_step(ctx, writer, view, consumed, part, step, result)
+            t_done = time.perf_counter()
+        result.flush_seconds = t_done - t_commit
+        result.finished_sum = t_done
+        result.n_timed = 1
+        result.part_seconds = {part: t_done - t_start}
         return result
 
     def _commit_part_step(
@@ -1528,49 +1474,28 @@ class SyncEngine(JobFrame):
         consumed: List[tuple],
         part: int,
         step: int,
+        result: _PartStepResult,
     ) -> None:
         """One part-step's commit point: batch state writes, flush
-        transport, drop consumed spills, then mark progress."""
+        transport, drop consumed spills, then mark progress.  The
+        writes' counts land on *result*."""
         batches, records = ctx.commit_state()
         if batches:
-            self._counters.add("state_writeback_batches", batches)
-            self._counters.add("state_writeback_records", records)
+            result.counters["state_writeback_batches"] = batches
+            result.counters["state_writeback_records"] = records
         writer.flush_all()
-        self._harvest_writer(writer)
+        _harvest_writer(writer, step + 1, result)
         for transport_key in consumed:
             view.delete(transport_key)
         if self._fault_tolerance:
-            if self._direct_exporter is not None:
-                # shipped part-steps have no exporter here; their buffered
-                # outputs ride back on the result instead
-                for key, value in ctx.direct_outputs:
-                    self._direct_exporter.export(key, value)
-            if self._is_shipped:
+            if self._ship_parts:
                 # Retain the fold input next to the completion mark (same
                 # part of the progress table, same worker, same mutation
                 # journal): if this worker dies after committing but
                 # before its result frame reaches the parent, recovery
-                # reads the partial instead of re-driving inputs this
-                # commit just deleted.  Cleared after the step's fold.
-                with self._spill_lock:
-                    spills = {
-                        s: dict(per_part)
-                        for s, per_part in self._spilled_per_step.items()
-                    }
-                counters, maxima = self._counters.split_snapshot()
-                self._progress.record_partial(
-                    part,
-                    step,
-                    {
-                        "agg": ctx.agg_partials,
-                        "invocations": ctx.invocations,
-                        "records_out": writer.records_written,
-                        "spills": spills,
-                        "outputs": ctx.direct_outputs,
-                        "counters": counters,
-                        "maxima": maxima,
-                    },
-                )
+                # folds the retained result instead of re-driving inputs
+                # this commit just deleted.  Cleared after the step's fold.
+                self._progress.record_partial(part, step, result)
             self._progress.mark_completed(part, step)
 
     def _merge_creations(

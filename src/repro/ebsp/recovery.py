@@ -12,7 +12,7 @@ with ``fault_tolerance=True``, as one policy for every failed part-step
 - every part-step buffers its state writes and outgoing spills until a
   single *commit point* at the end of the part-step;
 - a progress table maps part → completed step, updated at commit (a
-  shipped part-step also retains its fold input there);
+  shipped part-step also retains its result there);
 - the driver waits on one future per part-step; a failed one is
   re-driven alone — from its retained partial when the progress table
   says it committed, else after deleting the spills the failed attempt
@@ -189,17 +189,17 @@ class ProgressTable:
         found = self._table.get_many(parts)
         return min(-1 if found.get(part) is None else found[part] for part in parts)
 
-    def record_partial(self, part: int, step: int, payload: dict) -> None:
-        """Retain a committed part-step's foldable result.
+    def record_partial(self, part: int, step: int, result: Any) -> None:
+        """Retain a committed part-step's result.
 
         Written just *before* the completion mark, on the worker that ran
         the part-step: if the worker dies after committing but before its
-        result frame reaches the parent, the engine recovers the fold
-        input from here instead of re-driving inputs it already deleted.
+        result frame reaches the parent, the engine folds the result from
+        here instead of re-driving inputs it already deleted.
         """
-        self._table.put(("partial", part, step), payload)
+        self._table.put(("partial", part, step), result)
 
-    def recorded_partial(self, part: int, step: int) -> Optional[dict]:
+    def recorded_partial(self, part: int, step: int) -> Optional[Any]:
         return self._table.get(("partial", part, step))
 
     def clear_partials(self, parts: List[int], step: int) -> None:

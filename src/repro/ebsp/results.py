@@ -71,9 +71,9 @@ class Counters:
     def split_snapshot(self) -> tuple:
         """``(counters, maxima)`` as separate dicts.
 
-        A worker process ships its fresh Counters back as deltas; the
-        parent needs to know which names fold with ``add`` and which
-        with ``record_max``.
+        A checkpoint restores counters into a fresh job, which needs
+        to know which names fold with ``add`` and which with
+        ``record_max``.
         """
         with self._lock:
             counters = dict(self._counters)

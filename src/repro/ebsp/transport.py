@@ -196,6 +196,10 @@ class SpillWriter:
     dispatches the held batches concurrently, it just does all of the
     transport at the commit point.
 
+    :attr:`spilled` is the writer's own ledger — records sealed per
+    destination part — kept under the lock sealing already takes; the
+    engine carries it back on the part-step's result.
+
     Per-(src, dest) FIFO: spills destined for one part are sealed with
     increasing ``seq`` and dispatched in seal order from one thread, and
     the partitioned store applies submissions to one part in submission
@@ -212,7 +216,6 @@ class SpillWriter:
         part_of: Callable[[Any], int],
         batch_size: int = 512,
         hold: bool = False,
-        on_spill: Optional[Callable[[int, int], None]] = None,
         combiner: Optional[Callable[[Any, Any], Any]] = None,
         max_in_flight: int = 8,
         spills_per_batch: int = 1,
@@ -233,7 +236,6 @@ class SpillWriter:
         self._vector_combiner = vector_combiner
         self._batch_size = max(1, batch_size)
         self._hold = hold
-        self._on_spill = on_spill
         self._combiner = combiner
         self._max_in_flight = max(1, max_in_flight)
         self._spills_per_batch = max(1, spills_per_batch)
@@ -258,6 +260,7 @@ class SpillWriter:
         self._lock = threading.Lock()
         self._seq = 0
         self.records_written = 0
+        self.spilled: Dict[int, int] = {}
         self.messages_added = 0
         self.continues_added = 0
         self.messages_combined = 0
@@ -411,12 +414,11 @@ class SpillWriter:
         self._ready.setdefault(dest_part, []).append((key, value))
         self.spills_sealed += 1
         self.records_written += count
+        self.spilled[dest_part] = self.spilled.get(dest_part, 0) + count
         if self._tracer.enabled:
             self._tracer.instant(
                 "spill.seal_columns", cat="transport", dest=dest_part, records=count
             )
-        if self._on_spill is not None:
-            self._on_spill(dest_part, count)
 
     def _seal(self, dest_part: int) -> None:
         """Turn a buffer into a spill (key + records) ready for dispatch.
@@ -441,10 +443,9 @@ class SpillWriter:
         self._ready.setdefault(dest_part, []).append((key, value))
         self.spills_sealed += 1
         self.records_written += len(buffer)
+        self.spilled[dest_part] = self.spilled.get(dest_part, 0) + len(buffer)
         if span is not None:
             span.__exit__(None, None, None)
-        if self._on_spill is not None:
-            self._on_spill(dest_part, len(buffer))
 
     def _dispatch(self, dest_part: int) -> None:
         """Send one destination's sealed spills as a single batched request."""
@@ -485,9 +486,11 @@ class SpillWriter:
             self._combine_index.clear()
             self._col_buffers.clear()
             self._col_counts.clear()
-            for batch in self._ready.values():
+            for dest_part, batch in self._ready.items():
                 for _, value in batch:
-                    self.records_written -= spill_record_count(value)
+                    count = spill_record_count(value)
+                    self.records_written -= count
+                    self.spilled[dest_part] -= count
                     self.spills_sealed -= 1
             self._ready.clear()
             while self._in_flight:

@@ -43,6 +43,7 @@ from repro.kvstore.persistent import PersistentKVStore
 from repro.kvstore.replicated import ReplicatedKVStore
 from repro.runtime import ProcessRuntime, RetryPolicy, WorkerLostError
 from repro.util.hashing import part_for_key
+from tests.ebsp.test_batch_compute import MixedKeyJob
 
 KEYS = list(range(8))
 LENGTH = 5
@@ -214,6 +215,42 @@ def test_kill_off_the_process_runtime_is_a_recovered_raise():
     assert state == clean_state
     assert result.aggregates == clean.aggregates
     assert dict(exporter.calls) == _expected_outputs()
+
+
+ONE_PART_STORES = {
+    "local": lambda: LocalKVStore(default_n_parts=1),
+    "inline": lambda: PartitionedKVStore(n_partitions=1, runtime="inline"),
+    "threaded": lambda: PartitionedKVStore(n_partitions=1, runtime="threaded"),
+    "process": lambda: PartitionedKVStore(n_partitions=1, runtime="process"),
+}
+
+
+def test_counters_do_not_depend_on_where_a_part_step_ran():
+    """A failed attempt's counters die with it, in a worker process and
+    in-process alike: the columnar fallback is counted once, by the
+    attempt that committed."""
+    counters = {}
+    for name, make_store in ONE_PART_STORES.items():
+        injector = FailureInjector()
+        injector.schedule(0, 0)
+        with make_store() as store:
+            result = run_job(
+                store,
+                MixedKeyJob(),
+                synchronize=True,
+                fault_tolerance=True,
+                failure_injector=injector,
+            )
+        # store_* counters are the back-end's own I/O deltas, not the job's
+        counters[name] = {
+            key: value
+            for key, value in result.counters.items()
+            if not key.startswith("store_")
+        }
+    assert counters["local"]["batch_fallbacks"] == 1
+    assert counters["local"]["part_step_retries"] == 1
+    for name, seen in counters.items():
+        assert seen == counters["local"], name
 
 
 def test_simulated_failure_discards_and_resubmits(monkeypatch):

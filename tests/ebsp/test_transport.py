@@ -96,21 +96,13 @@ class TestSpillWriter:
         assert writer.messages_added == 2
         assert writer.continues_added == 1
 
-    def test_on_spill_callback(self, setup):
+    def test_spill_ledger(self, setup):
         store, transport = setup
-        spilled = []
-        writer = SpillWriter(
-            transport,
-            src_part=1,
-            step=2,
-            n_parts=4,
-            part_of=part_of,
-            on_spill=lambda part, n: spilled.append((part, n)),
-        )
+        writer = SpillWriter(transport, src_part=1, step=2, n_parts=4, part_of=part_of)
         writer.add((MSG, 0, "x"))
         writer.add((MSG, 0, "y"))
         writer.flush_all()
-        assert spilled == [(0, 2)]
+        assert writer.spilled == {0: 2}
 
 
 class TestPipelinedTransport:
