@@ -415,7 +415,6 @@ class _PartStepResult:
         "counters",
         "maxima",
         "outputs",
-        "part_seconds",
     )
 
     def __init__(
@@ -439,8 +438,6 @@ class _PartStepResult:
         self.counters: Dict[str, int] = {}
         self.maxima: Dict[str, int] = {}
         self.outputs: List[Tuple[Any, Any]] = []
-        # per-physical-part wall seconds (the elastic load signal)
-        self.part_seconds: Dict[int, float] = {}
 
 
 def _harvest_writer(writer: SpillWriter, write_step: int, result: _PartStepResult) -> None:
@@ -501,7 +498,6 @@ class _StepConsumer(PartConsumer):
             for name, value in side.maxima.items():
                 out.maxima[name] = max(out.maxima.get(name, 0), value)
             out.outputs.extend(side.outputs)
-            out.part_seconds.update(side.part_seconds)
         return out
 
 
@@ -733,7 +729,6 @@ class SyncEngine(JobFrame):
         checkpoint_interval: int = 0,
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
-        elastic: Any = None,
         on_step: Optional[Any] = None,
     ):
         super().__init__(store, job, trace)
@@ -794,50 +789,10 @@ class SyncEngine(JobFrame):
         else:
             self._checkpoints = None
 
-        # -- elastic repartitioning -----------------------------------
-        # elastic=None/False is off (identity placement, no monitoring);
-        # True takes the default ElasticConfig; an ElasticConfig is used
-        # as-is.  Resolved before _resolve_tables because the physical
-        # part space (transport/progress sizing) depends on max_fanout.
-        if elastic is None or elastic is False:
-            self._elastic_cfg = None
-        else:
-            from repro.elastic import ElasticConfig
-
-            self._elastic_cfg = ElasticConfig() if elastic is True else elastic
-            if not isinstance(self._elastic_cfg, ElasticConfig):
-                raise JobSpecError(
-                    f"elastic= takes True/False/None or an ElasticConfig, "
-                    f"got {type(elastic).__name__}"
-                )
-            if self._runtime is None:
-                raise JobSpecError(
-                    "elastic=True requires a store with a worker runtime"
-                )
-        self._placement = None
-        self._elastic = None
-        self._elastic_monitor = None
-
         self._open()
-        if self._elastic_cfg is not None:
-            from repro.elastic import ElasticController, LoadMonitor
-
-            self._elastic_monitor = LoadMonitor(self._placement)
-            self._elastic = ElasticController(
-                store,
-                self._placement,
-                self._elastic_monitor,
-                self._elastic_cfg,
-                self._counters,
-            )
-        # Routing memos are valid for one placement version only.
-        self._placement_version = (
-            self._placement.version if self._placement is not None else 0
-        )
-        self._elastic_stats_baseline = self._runtime_baseline
         if fault_tolerance:
             self._progress = ProgressTable(
-                self._store, f"__ebsp_progress_{self._jid}", self._n_physical
+                self._store, f"__ebsp_progress_{self._jid}", self.n_parts
             )
         else:
             self._progress = None
@@ -905,9 +860,6 @@ class SyncEngine(JobFrame):
             "_part_cache",
             "_timeline",
             "_checkpoints",
-            "_elastic",
-            "_elastic_monitor",
-            "_elastic_stats_baseline",
             "_on_step",
         ):
             state[name] = None
@@ -923,57 +875,13 @@ class SyncEngine(JobFrame):
     # -- setup -----------------------------------------------------------------
     def _resolve_tables(self) -> None:
         super()._resolve_tables()
-        # Elastic execution routes spills through a *physical* part space
-        # max_fanout times larger than the logical one, so a hot logical
-        # part can fan out without resizing any table mid-job.  State
-        # tables stay logically partitioned — splitting moves compute
-        # and messages, never component state.
-        if self._elastic_cfg is not None:
-            from repro.elastic import PlacementMap
-
-            for table in self._state_tables:
-                if table.spec.key_hash is not None:
-                    raise JobSpecError(
-                        f"elastic execution requires default key hashing; "
-                        f"state table {table.name!r} has a custom key_hash"
-                    )
-            n_workers = getattr(self._runtime, "n_workers", 1)
-            self._placement = PlacementMap(
-                self.n_parts, n_workers, max_fanout=self._elastic_cfg.max_fanout
-            )
-            self._n_physical = self._placement.n_physical
-        else:
-            self._n_physical = self.n_parts
-
         self._transport_name = f"__ebsp_xport_{self._jid}"
         self._transport = create_transport_table(
-            self._store, self._transport_name, self._n_physical
+            self._store, self._transport_name, self.n_parts
         )
-
-    def _compute_part_of(self, key: Any) -> int:
-        placement = self._placement
-        if placement is not None and not placement.is_identity():
-            from repro.util.hashing import stable_hash
-
-            h = stable_hash(key)
-            return placement.route(h, h % self.n_parts)
-        return super()._compute_part_of(key)
 
     def _part_of_many(self, keys: Any) -> Any:
         """Vectorized key→part routing for whole columns."""
-        placement = self._placement
-        if placement is not None and not placement.is_identity():
-            from repro.util.hashing import stable_hash
-
-            arr = keys if isinstance(keys, np.ndarray) else np.asarray(keys, dtype=object)
-            if arr.ndim == 1 and arr.dtype.kind in "iu":
-                hashes = arr.astype(np.uint64) & np.uint64(0xFFFFFFFF)
-            else:
-                hashes = np.fromiter(
-                    (stable_hash(k) for k in keys), dtype=np.uint64, count=len(keys)
-                )
-            logicals = (hashes % np.uint64(self.n_parts)).astype(np.int64)
-            return placement.route_many(hashes.astype(np.int64), logicals)
         if self._state_tables:
             return self._state_tables[0].part_of_many(keys)
         from repro.util.hashing import part_for_key
@@ -1001,7 +909,7 @@ class SyncEngine(JobFrame):
             self._transport,
             src_part=src_part,
             step=write_step,
-            n_parts=self._n_physical,
+            n_parts=self.n_parts,
             part_of=self._part_of,
             batch_size=self._spill_batch,
             hold=hold,
@@ -1079,10 +987,8 @@ class SyncEngine(JobFrame):
                         if self._max_steps is not None and step >= self._max_steps:
                             steps_taken = step
                             break
-                        step_result = self._run_step(step)
+                        self._run_step(step)
                         self._counters.add("barriers")
-                        if self._elastic is not None:
-                            self._rebalance(step, step_result)
                         if (
                             self._checkpoints is not None
                             and self._checkpoint_interval
@@ -1189,30 +1095,14 @@ class SyncEngine(JobFrame):
             name: agg.finish(ctx.agg_partials[name]) for name, agg in self._aggs.items()
         }
 
-    def _rebalance(self, step: int, result: "_PartStepResult") -> None:
-        """The elastic layer's barrier hook: observe the step's load,
-        let the controller act, invalidate routing memos if it did."""
-        stats = self._runtime.stats() if self._runtime is not None else None
-        delta = None
-        if stats is not None and self._elastic_stats_baseline is not None:
-            from repro.runtime import stats_delta
-
-            delta = stats_delta(self._elastic_stats_baseline, stats)
-            self._elastic_stats_baseline = stats
-        self._elastic_monitor.observe(result.part_seconds, delta)
-        applied = self._elastic.rebalance(step)
-        if applied or self._placement.version != self._placement_version:
-            self._placement_version = self._placement.version
-            self._part_cache.clear()
-
-    def _run_step(self, step: int) -> "_PartStepResult":
+    def _run_step(self, step: int) -> None:
         started = time.monotonic()
         # dispatch part-step tasks only where the spill path recorded
         # pending records — superstep cost scales with the frontier, not
         # with n_parts (§II-A selective enablement, part-level)
         active = self._active_parts(step)
         active_set = set(active)
-        skipped = [p for p in range(self._n_physical) if p not in active_set]
+        skipped = [p for p in range(self.n_parts) if p not in active_set]
         if skipped and self._progress is not None:
             # a skipped part has no inputs — record it as trivially
             # complete so recovery never re-drives it for this step
@@ -1258,7 +1148,6 @@ class SyncEngine(JobFrame):
                 self._on_step(metrics_entry)
             except Exception:
                 pass
-        return result
 
     def _finish_step(
         self,
@@ -1463,7 +1352,6 @@ class SyncEngine(JobFrame):
         result.flush_seconds = t_done - t_commit
         result.finished_sum = t_done
         result.n_timed = 1
-        result.part_seconds = {part: t_done - t_start}
         return result
 
     def _commit_part_step(
@@ -1524,12 +1412,5 @@ class SyncEngine(JobFrame):
         if self._progress is not None:
             try:
                 self._store.drop_table(self._progress.table.name)
-            except Exception:
-                pass
-        if self._elastic is not None:
-            # the transport is gone, so nothing can still drain into the
-            # split sub-parts: their lane pins may now be released
-            try:
-                self._elastic.release_sub_part_overrides()
             except Exception:
                 pass

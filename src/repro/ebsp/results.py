@@ -236,34 +236,6 @@ class JobResult:
         """Total marshalled bytes across this run's checkpoints."""
         return self.counters.get("checkpoint_bytes", 0)
 
-    # -- elastic repartitioning ---------------------------------------------
-    @property
-    def parts_split(self) -> int:
-        """Hot logical parts the elastic controller fanned out into
-        hash-prefix sub-parts during this run."""
-        return self.counters.get("parts_split", 0)
-
-    @property
-    def parts_merged(self) -> int:
-        """Previously-split parts merged back to fanout 1."""
-        return self.counters.get("parts_merged", 0)
-
-    @property
-    def parts_migrated(self) -> int:
-        """Parts live-migrated between workers at barriers."""
-        return self.counters.get("parts_migrated", 0)
-
-    @property
-    def migration_seconds(self) -> float:
-        """Wall seconds spent inside live part migrations."""
-        return float(self.counters.get("migration_seconds", 0))
-
-    @property
-    def load_imbalance(self) -> float:
-        """Peak observed max/mean part-load ratio (1.0 = even; 0.0 when
-        the elastic monitor was off)."""
-        return self.counters.get("load_imbalance", 0) / 1000.0
-
     @property
     def resumed_from_step(self) -> int:
         """1-based step this run resumed after (0 = started fresh): a
@@ -331,9 +303,6 @@ _RECORDED_COUNTERS = (
     "worker_timeouts",
     "checkpoints_written",
     "checkpoint_bytes",
-    "parts_split",
-    "parts_merged",
-    "parts_migrated",
 )
 
 

@@ -104,24 +104,6 @@ def copy_store(
     return report
 
 
-def live_migrate_part(store: KVStore, part_index: int, target_worker: int) -> dict:
-    """Live-migrate one part of *store* to *target_worker*, in place.
-
-    Unlike :func:`copy_store` (whole-deployment, offline), this moves a
-    single part between the *workers of one store* while it serves
-    traffic — the elastic layer's barrier-time primitive.  Dispatches to
-    the store's own ``migrate_part`` (each store knows where its part
-    data lives); stores without one cannot rebalance and are refused.
-    """
-    mover = getattr(store, "migrate_part", None)
-    if mover is None:
-        raise StoreError(
-            f"store {type(store).__name__} does not support live part "
-            "migration; only stores with worker-resident parts can rebalance"
-        )
-    return mover(part_index, target_worker)
-
-
 def verify_copy(source: KVStore, destination: KVStore, table_name: str) -> bool:
     """Check that a table's contents are identical in both stores."""
     left = dict(source.get_table(table_name).items())

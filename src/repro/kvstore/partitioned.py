@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import pickle
 import threading
-import time
 import uuid
 from concurrent.futures import Future
 from typing import Any, Callable, Iterator, Optional
@@ -80,7 +79,6 @@ from repro.runtime.process import (
     journal_append,
     journal_enabled,
 )
-from repro.runtime.retry import WorkerLostError
 from repro.runtime.shipping import ShippingError, is_shippable
 from repro.serde import Codec, SerdeStats
 
@@ -187,22 +185,6 @@ class _ShippedOps(PartOps):
 _PART_REGISTRY: dict = {}
 _REGISTRY_LOCK = threading.Lock()
 
-# Child-side mirror of the parent runtime's lane overrides (part → worker),
-# installed by live migration.  A worker process consults it before
-# treating ``part % n_partitions`` as proof of ownership: after part P
-# migrated away, the original owner must route writes to P as upcalls —
-# resolving them locally would silently recreate an empty part and lose
-# the writes.
-_CHILD_LANE_OVERRIDES: dict = {}
-
-
-@shippable
-def _set_lane_overrides(overrides: dict) -> None:
-    """Replace this process's placement-override map (migration broadcast)."""
-    _CHILD_LANE_OVERRIDES.clear()
-    _CHILD_LANE_OVERRIDES.update(overrides)
-
-
 def _resolve_part(uid: str, part_index: int, ordered: bool) -> "_LockedPart":
     key = (uid, part_index)
     with _REGISTRY_LOCK:
@@ -233,22 +215,6 @@ def _registry_load(uid: str, part_index: int, ordered: bool, items: list) -> int
     for key, value in items:
         part.put(key, value)
     return len(items)
-
-
-@shippable
-def _registry_items(uid: str, part_index: int) -> Optional[list]:
-    """Snapshot one resident part's items; ``None`` if never touched here."""
-    with _REGISTRY_LOCK:
-        part = _PART_REGISTRY.get((uid, part_index))
-    if part is None:
-        return None
-    return list(part.items())
-
-
-@shippable
-def _registry_drop_part(uid: str, part_index: int) -> None:
-    with _REGISTRY_LOCK:
-        _PART_REGISTRY.pop((uid, part_index), None)
 
 
 class _PartPointer:
@@ -446,10 +412,7 @@ class _ChildTable(Table):
         context = current_child_context()
         if context is None:
             return None
-        owner = _CHILD_LANE_OVERRIDES.get(part_index)
-        if owner is None:
-            owner = part_index % self._n_partitions
-        if owner == context.worker:
+        if part_index % self._n_partitions == context.worker:
             return _resolve_part(self._uid, part_index, self.ordered)
         return None
 
@@ -677,11 +640,6 @@ class PartitionedKVStore(KVStore):
         if self._process_mode:
             self.runtime.attach_serde_stats(self.stats)
         self.crash_tolerance = False
-        # Live migration: whether the override-repush rebuild hook is
-        # installed, and an optional test hook fired at named points of
-        # the migration protocol (fault-injection seam).
-        self._override_hook_installed = False
-        self.migration_fault_hook: Optional[Callable[[str, int], None]] = None
         if crash_tolerance:
             if not self._process_mode:
                 raise ValueError(
@@ -719,34 +677,25 @@ class PartitionedKVStore(KVStore):
                     mirror.clear()
 
     def _rebuild_worker(self, worker: int) -> None:
-        """Reload a respawned worker's part residency from the mirrors.
-
-        Runs on the runtime's monitor thread, which must bypass freeze
-        gates: if the worker died mid-migration, the dying part's lane
-        is frozen, and parking here would deadlock the respawn against
-        the migration that is waiting on this very worker.  The rebuild
-        is an internal repopulation (mirror contents, not new writes),
-        so the gate's ack-implies-application guarantee is not at stake.
-        """
+        """Reload a respawned worker's part residency from the mirrors."""
         runtime = self.runtime
         with self._lock:
             tables = list(self._tables.values())
         futures = []
-        with runtime.bypassing_gates():
-            for table in tables:
-                for part_index in range(table.n_parts):
-                    if runtime.worker_of(part_index) != worker:
-                        continue
-                    with self._mirror_lock:
-                        mirror = self._mirrors.get((table._uid, part_index))
-                        items = list(mirror.items()) if mirror else None
-                    if items is None:
-                        continue  # never written — the fresh child recreates it empty
-                    futures.append(
-                        runtime.submit(
-                            part_index, _registry_load, table._uid, part_index, table.ordered, items
-                        )
+        for table in tables:
+            for part_index in range(table.n_parts):
+                if runtime.worker_of(part_index) != worker:
+                    continue
+                with self._mirror_lock:
+                    mirror = self._mirrors.get((table._uid, part_index))
+                    items = list(mirror.items()) if mirror else None
+                if items is None:
+                    continue  # never written — the fresh child recreates it empty
+                futures.append(
+                    runtime.submit(
+                        part_index, _registry_load, table._uid, part_index, table.ordered, items
                     )
+                )
         for future in futures:
             future.result()
 
@@ -775,155 +724,6 @@ class PartitionedKVStore(KVStore):
                 with _REGISTRY_LOCK:
                     _PART_REGISTRY[(table._uid, part_index)] = local
                 table._views[part_index] = local
-
-    # -- live migration ------------------------------------------------------
-    def migrate_part(self, part_index: int, target_worker: int) -> dict:
-        """Move *part_index* (of every table) to *target_worker*, live.
-
-        The barrier-time protocol — safe under concurrent parent-side
-        writers because acknowledgement implies application:
-
-        1. **freeze** the part's lane (new submissions park at the gate);
-        2. **drain** the source worker's short lane — FIFO per worker
-           means every write accepted before the freeze has been applied
-           when the drain probe resolves;
-        3. **copy** each table's resident part to the target process
-           (process mode; thread-backed parts share the parent's memory
-           and stay put).  If the source dies mid-copy, a crash-tolerant
-           store falls back to its parent-side mirror, which the journal
-           protocol keeps at least as new as any acknowledged write;
-        4. **flip** the placement: parent lane override plus a broadcast
-           to every worker process, so the old owner stops resolving the
-           part locally and starts routing upcalls;
-        5. **unfreeze** — parked writers proceed against the new owner.
-
-        Only parts quiescent on the *child-to-child* path may migrate
-        (between part-steps — i.e. at a BSP barrier — or with no shipped
-        compute running): the drain covers parent-side submitters, not
-        sibling workers mid-part-step.  Returns a report dict
-        (``entries``/``tables`` copied, ``seconds``).
-        """
-        runtime = self.runtime
-        if not 0 <= target_worker < self.n_partitions:
-            raise ValueError(
-                f"target worker {target_worker} out of range for "
-                f"{self.n_partitions} partitions"
-            )
-        source = runtime.worker_of(part_index)
-        report = {
-            "part": part_index,
-            "source": source,
-            "target": target_worker,
-            "tables": 0,
-            "entries": 0,
-            "seconds": 0.0,
-        }
-        if source == target_worker:
-            return report
-        started = time.perf_counter()
-        with self._lock:
-            tables = list(self._tables.values())
-        runtime.freeze_lane(part_index)
-        try:
-            with runtime.bypassing_gates():
-                runtime.drain_worker(source)
-                hook = self.migration_fault_hook
-                if hook is not None:
-                    hook("drained", part_index)
-                if self._process_mode:
-                    for table in tables:
-                        if part_index >= table.n_parts:
-                            continue
-                        items = self._fetch_part_items(table, part_index, source)
-                        if items is None:
-                            continue  # never touched — recreated empty on demand
-                        runtime.submit_to_worker(
-                            target_worker,
-                            _registry_load,
-                            table._uid,
-                            part_index,
-                            table.ordered,
-                            items,
-                        ).result()
-                        report["tables"] += 1
-                        report["entries"] += len(items)
-                        # A degraded source serves parts parent-side via a
-                        # swapped-in view; the part lives remotely again now.
-                        if not isinstance(table._views[part_index], _PartHandle):
-                            table._views[part_index] = _PartHandle(table, part_index)
-                        try:
-                            runtime.submit_to_worker(
-                                source, _registry_drop_part, table._uid, part_index
-                            ).result(timeout=5)
-                        except Exception:
-                            pass  # freeing the stale copy is best-effort
-                runtime.set_lane_override(part_index, target_worker)
-                self._broadcast_overrides()
-        finally:
-            runtime.unfreeze_lane(part_index)
-        report["seconds"] = time.perf_counter() - started
-        return report
-
-    def _fetch_part_items(
-        self, table: "PartitionedTable", part_index: int, source: int
-    ) -> Optional[list]:
-        try:
-            return self.runtime.submit_to_worker(
-                source, _registry_items, table._uid, part_index
-            ).result()
-        except WorkerLostError:
-            if not self.crash_tolerance:
-                raise
-            # The source died mid-migration: its mirror holds every
-            # acknowledged write (journals apply before futures resolve),
-            # so the copy proceeds from the parent instead.
-            with self._mirror_lock:
-                mirror = self._mirrors.get((table._uid, part_index))
-                return list(mirror.items()) if mirror is not None else None
-
-    def set_placement_override(self, part_index: int, worker: int) -> None:
-        """Pin *part_index*'s lane (and residency) to *worker* without a
-        data copy — for parts known to hold no resident data yet (e.g. a
-        split's fresh sub-parts).  Parts with data need :meth:`migrate_part`.
-        """
-        self.runtime.set_lane_override(part_index, worker)
-        self._broadcast_overrides()
-
-    def clear_placement_override(self, part_index: int) -> None:
-        self.runtime.clear_lane_override(part_index)
-        self._broadcast_overrides()
-
-    def _broadcast_overrides(self) -> None:
-        """Push the parent's lane-override map to every worker process."""
-        if not self._process_mode:
-            return
-        runtime = self.runtime
-        overrides = runtime.lane_overrides()
-        for worker in getattr(runtime, "started_workers", lambda: [])():
-            try:
-                runtime.submit_to_worker(
-                    worker, _set_lane_overrides, overrides
-                ).result(timeout=30)
-            except Exception:
-                pass  # a dying worker gets the map again via the rebuild hook
-        if not self._override_hook_installed:
-            add_hook = getattr(runtime, "add_rebuild_hook", None)
-            if add_hook is not None:
-                add_hook(self._push_overrides_to_worker)
-            self._override_hook_installed = True
-
-    def _push_overrides_to_worker(self, worker: int) -> None:
-        """Rebuild hook: a respawned child starts with an empty override
-        map and would wrongly self-own migrated-away parts."""
-        overrides = self.runtime.lane_overrides()
-        if not overrides:
-            return
-        try:
-            self.runtime.submit_to_worker(
-                worker, _set_lane_overrides, overrides
-            ).result(timeout=30)
-        except Exception:
-            pass
 
     # -- the catalog's hooks ---------------------------------------------------
     def _open_table(self, spec: TableSpec, n_parts: int) -> Table:

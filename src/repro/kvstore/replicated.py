@@ -37,7 +37,6 @@ writes replicate one by one, so they survive failover too.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable, Optional
 
 from repro.errors import ShardFailedError, TransactionError
@@ -189,56 +188,11 @@ class ReplicatedKVStore(KVStore):
         with shard.lock:
             shard.failed = True
 
-    # -- live migration ------------------------------------------------------
-    def migrate_part(self, part_index: int, target_worker: int) -> dict:
-        """Re-pin *part_index*'s execution lane to *target_worker*, live.
-
-        Shard data is parent-resident (``part % n_shards`` is the data
-        map and does not move); what migrates is the *compute* placement
-        — which worker serves the part's collocated code and
-        enumerations.  Same freeze → drain → flip protocol as the
-        partitioned store, minus the copy step.
-        """
-        runtime = self.runtime
-        if not 0 <= target_worker < runtime.n_workers:
-            raise ValueError(
-                f"target worker {target_worker} out of range for "
-                f"{runtime.n_workers} workers"
-            )
-        source = runtime.worker_of(part_index)
-        report = {
-            "part": part_index,
-            "source": source,
-            "target": target_worker,
-            "tables": 0,
-            "entries": 0,
-            "seconds": 0.0,
-        }
-        if source == target_worker:
-            return report
-        started = time.perf_counter()
-        runtime.freeze_lane(part_index)
-        try:
-            with runtime.bypassing_gates():
-                runtime.drain_worker(source)
-                runtime.set_lane_override(part_index, target_worker)
-        finally:
-            runtime.unfreeze_lane(part_index)
-        report["seconds"] = time.perf_counter() - started
-        return report
-
     def _quiesce_shard(self, shard_index: int) -> None:
-        """Drain every worker serving the shard's parts (the migration
-        drain path): in-flight collocated writes finish replicating
-        before a promotion decides which backup is freshest."""
-        runtime = self.runtime
-        workers = {shard_index % runtime.n_workers}
-        for lane, worker in runtime.lane_overrides().items():
-            if lane % self.n_shards == shard_index:
-                workers.add(worker)
-        with runtime.bypassing_gates():
-            for worker in sorted(workers):
-                runtime.drain_worker(worker)
+        """Drain the short lane of the worker serving the shard's parts,
+        so a write queued there lands before a promotion decides which
+        backup is freshest."""
+        self.runtime.drain_worker(shard_index % self.runtime.n_workers)
 
     def promote_backup(self, shard_index: int) -> int:
         """Promote the freshest backup to primary; return batches lost.
@@ -246,8 +200,8 @@ class ReplicatedKVStore(KVStore):
         With synchronous replication nothing is lost.  With async
         replication, writes queued but not yet applied to the promoted
         backup are gone — the situation EBSP recovery must repair.
-        Quiesces the shard's workers first (the migration drain path),
-        so an in-flight collocated write cannot race the promotion.
+        Quiesces the shard's worker first, so a write queued on its
+        lane cannot race the promotion.
         """
         self._quiesce_shard(shard_index)
         shard = self._shards[shard_index]

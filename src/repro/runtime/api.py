@@ -70,24 +70,6 @@ class RuntimeClosedError(RuntimeError):
     """Raised when work is submitted to a closed runtime."""
 
 
-class _GateBypass:
-    """Marks the current thread exempt from lane freeze gates."""
-
-    __slots__ = ("_tls", "_previous")
-
-    def __init__(self, tls: threading.local):
-        self._tls = tls
-        self._previous = False
-
-    def __enter__(self) -> "_GateBypass":
-        self._previous = getattr(self._tls, "gate_bypass", False)
-        self._tls.gate_bypass = True
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self._tls.gate_bypass = self._previous
-
-
 def _drain_probe() -> bool:
     """No-op probe whose completion proves a worker's lane has drained."""
     return True
@@ -197,11 +179,6 @@ class WorkerRuntime(abc.ABC):
         self._gang_tasks = 0
         self._gang_busy_seconds = 0.0
         self._closed = False
-        # Elastic placement: per-lane overrides of the round-robin map
-        # (installed at barriers by migration), and per-lane freeze gates
-        # that park submitters while a part's state is in flight.
-        self._lane_overrides: Dict[int, int] = {}
-        self._lane_gates: Dict[int, threading.Event] = {}
 
     # -- placement ---------------------------------------------------------
     @property
@@ -209,76 +186,8 @@ class WorkerRuntime(abc.ABC):
         return self._n_workers
 
     def worker_of(self, lane: int) -> int:
-        """The placement map: which worker serves *lane*.
-
-        Round-robin (``lane % n_workers``) unless the lane has been
-        re-pinned by :meth:`set_lane_override` — the elastic layer's
-        lever for migrating a part's execution to another worker.
-        """
-        overrides = self._lane_overrides
-        if overrides:
-            worker = overrides.get(lane)
-            if worker is not None:
-                return worker
+        """The placement map: which worker serves *lane*."""
         return lane % self._n_workers
-
-    def set_lane_override(self, lane: int, worker: int) -> None:
-        """Pin *lane* to *worker*, overriding the round-robin placement.
-
-        Safe only at quiescent points (a BSP barrier, or with the lane
-        frozen): tasks already queued at the old worker keep running
-        there — FIFO ordering is per *physical* worker.
-        """
-        if not 0 <= worker < self._n_workers:
-            raise ValueError(
-                f"worker {worker} out of range for {self._n_workers} workers"
-            )
-        self._lane_overrides[lane] = worker
-
-    def clear_lane_override(self, lane: int) -> None:
-        self._lane_overrides.pop(lane, None)
-
-    def lane_overrides(self) -> Dict[int, int]:
-        """Snapshot of the installed lane→worker overrides."""
-        return dict(self._lane_overrides)
-
-    # -- freeze gates ------------------------------------------------------
-    def freeze_lane(self, lane: int) -> None:
-        """Park new submissions to *lane* until :meth:`unfreeze_lane`.
-
-        Worker threads (``current_worker() is not None``) and threads
-        inside :meth:`bypassing_gates` pass through — blocking a worker
-        on its own runtime's gate would deadlock the drain the freeze
-        exists to protect.
-        """
-        if lane not in self._lane_gates:
-            self._lane_gates[lane] = threading.Event()
-
-    def unfreeze_lane(self, lane: int) -> None:
-        gate = self._lane_gates.pop(lane, None)
-        if gate is not None:
-            gate.set()
-
-    def bypassing_gates(self) -> "_GateBypass":
-        """Context manager marking this thread exempt from freeze gates
-        (used by the migration driver itself)."""
-        return _GateBypass(self._tls)
-
-    def _gate_wait(self, lane: int, timeout: float = 60.0) -> None:
-        gates = self._lane_gates
-        if not gates:
-            return
-        gate = gates.get(lane)
-        if gate is None:
-            return
-        tls = self._tls
-        if getattr(tls, "worker", None) is not None or getattr(tls, "gate_bypass", False):
-            return
-        if not gate.wait(timeout):
-            raise RuntimeError(
-                f"lane {lane} of runtime {self.name!r} stayed frozen for "
-                f"{timeout:.0f}s — a migration failed to unfreeze it"
-            )
 
     def current_worker(self) -> Optional[int]:
         """Index of the worker whose task is executing on this thread."""
@@ -297,9 +206,10 @@ class WorkerRuntime(abc.ABC):
     def submit_to_worker(self, worker: int, fn: Callable[..., Any], *args: Any) -> Future:
         """Run ``fn(*args)`` on a specific *worker*, bypassing placement.
 
-        The migration primitive: addresses the physical worker directly
-        (no ``worker_of``, no lane override, no freeze gate), FIFO with
-        the worker's short lane.
+        Addresses the physical worker directly, FIFO with its short
+        lane: what :meth:`drain_worker` probes with, and how a store
+        reaches every started worker (to evict a dropped table's
+        resident parts).
         """
 
     def drain_worker(self, worker: int) -> None:

@@ -29,10 +29,6 @@ class InlineRuntime(WorkerRuntime):
 
     kind = "inline"
 
-    def _run_here(self, lane: int, fn: Callable[..., Any], args: tuple) -> Future:
-        self._gate_wait(lane)
-        return self._run_on_worker(self.worker_of(lane), fn, args)
-
     def _run_on_worker(self, worker: int, fn: Callable[..., Any], args: tuple) -> Future:
         if self._closed:
             raise RuntimeClosedError(f"runtime {self.name!r} is closed")
@@ -63,11 +59,11 @@ class InlineRuntime(WorkerRuntime):
             self._counters[worker].record_task(time.perf_counter() - started)
 
     def submit(self, lane: int, fn: Callable[..., Any], *args: Any) -> Future:
-        return self._run_here(lane, fn, args)
+        return self._run_on_worker(self.worker_of(lane), fn, args)
 
     def submit_long(self, lane: int, fn: Callable[..., Any], *args: Any) -> Future:
         # Immediate execution trivially satisfies one-at-a-time per worker.
-        return self._run_here(lane, fn, args)
+        return self._run_on_worker(self.worker_of(lane), fn, args)
 
     def submit_to_worker(self, worker: int, fn: Callable[..., Any], *args: Any) -> Future:
         return self._run_on_worker(worker, fn, args)

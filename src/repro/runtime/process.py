@@ -232,13 +232,11 @@ class ProcessRuntime(ThreadedRuntime):
 
     # -- submission ----------------------------------------------------------
     def submit(self, lane: int, fn: Callable[..., Any], *args: Any) -> Future:
-        self._gate_wait(lane)
         if not is_shippable(fn) or self._fallback_to_parent(self.worker_of(lane)):
             return super().submit(lane, fn, *args)
         return self._submit_remote(self.worker_of(lane), fn, args, is_long=False)
 
     def submit_long(self, lane: int, fn: Callable[..., Any], *args: Any) -> Future:
-        self._gate_wait(lane)
         if not is_shippable(fn) or self._fallback_to_parent(self.worker_of(lane)):
             return super().submit_long(lane, fn, *args)
         return self._submit_remote(self.worker_of(lane), fn, args, is_long=True)
@@ -685,10 +683,7 @@ class ProcessRuntime(ThreadedRuntime):
         """Serve an upcall whose destination degraded to the parent."""
         fn, args = pickle.loads(payload)
         submit = ThreadedRuntime.submit_long if is_long else ThreadedRuntime.submit
-        # The listener thread serves every worker's upcalls; a frozen
-        # migration gate must never park it.
-        with self.bypassing_gates():
-            future = submit(self, lane, fn, *args)
+        future = submit(self, lane, fn, *args)
 
         def _ack(fut: Future) -> None:
             try:

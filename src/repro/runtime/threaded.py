@@ -151,7 +151,6 @@ class ThreadedRuntime(WorkerRuntime):
 
     # -- submission --------------------------------------------------------
     def submit(self, lane: int, fn: Callable[..., Any], *args: Any) -> Future:
-        self._gate_wait(lane)
         return self._lanes[self.worker_of(lane)].submit(fn, args)
 
     def submit_to_worker(self, worker: int, fn: Callable[..., Any], *args: Any) -> Future:
@@ -160,7 +159,6 @@ class ThreadedRuntime(WorkerRuntime):
     def submit_long(self, lane: int, fn: Callable[..., Any], *args: Any) -> Future:
         if self._closed:
             raise RuntimeClosedError(f"runtime {self.name!r} is closed")
-        self._gate_wait(lane)
         worker = self.worker_of(lane)
         outer: Future = Future()
 

@@ -132,32 +132,3 @@ def part_for_key(key: Any, n_parts: int) -> int:
         return 0
     return stable_hash(key) % n_parts
 
-
-#: Knuth's multiplicative constant.  Sub-part selection must use hash
-#: bits *independent* of ``hash % n_parts`` — consecutive int keys (the
-#: common vertex-id case) differ only in their low bits, so a plain
-#: ``hash % fanout`` would correlate with the logical-part assignment
-#: and leave every sub-part but one empty.
-_SUB_PART_MIX = 2654435761
-
-
-def sub_part_for_hash(h: int, fanout: int) -> int:
-    """Map a stable hash to a sub-part in ``[0, fanout)``.
-
-    Mixes the full 32-bit hash before reducing, so keys that share
-    ``h % n_parts`` (i.e. co-resident in one logical part) still spread
-    evenly over the sub-parts.
-    """
-    if fanout <= 1:
-        return 0
-    return ((h * _SUB_PART_MIX) >> 16) % fanout
-
-
-def sub_parts_for_hashes(hashes: "np.ndarray", fanouts: "np.ndarray") -> "np.ndarray":
-    """Vectorized :func:`sub_part_for_hash` (element-wise fanouts).
-
-    *hashes* are 32-bit stable hashes; the uint64 product cannot
-    overflow (both factors are < 2**32).
-    """
-    mixed = (hashes.astype(np.uint64) * np.uint64(_SUB_PART_MIX)) >> np.uint64(16)
-    return (mixed % fanouts.astype(np.uint64)).astype(np.int64)

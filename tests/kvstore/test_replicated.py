@@ -81,6 +81,28 @@ class TestReplication:
             lossy.close()
 
 
+class TestPromotionDrain:
+    """Writes dispatched without waiting, then a failure and a promotion
+    with nothing in between, must be on the promoted backup — however
+    the runtime schedules them (promotion drains the shard's worker
+    first)."""
+
+    @pytest.mark.parametrize("runtime", ["threaded", "inline"])
+    def test_async_writes_survive_immediate_promotion(self, runtime):
+        with ReplicatedKVStore(n_shards=4, replication=1, runtime=runtime) as store:
+            table = store.create_table(TableSpec(name="t", n_parts=4))
+            part = table.part_of(0)
+            keys = [k for k in range(1, 40) if table.part_of(k) == part]
+            futures = [table.put_async(0, "v0")]
+            futures += table.put_many_async((k, f"v{k}") for k in keys)
+            shard = store.shard_of_part(part)
+            store.fail_primary(shard)
+            store.promote_backup(shard)
+            for future in futures:
+                future.result(timeout=5)
+            assert table.get_many([0] + keys) == {k: f"v{k}" for k in [0] + keys}
+
+
 class TestShardTransactions:
     def test_atomic_multi_table_commit(self, store):
         a = store.create_table(TableSpec(name="a", n_parts=4))

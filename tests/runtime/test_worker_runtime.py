@@ -65,6 +65,11 @@ class TestPlacement:
         finally:
             other.close()
 
+    def test_submit_to_worker_bypasses_placement(self, runtime):
+        # direct addressing names the worker, not a lane mapped onto one
+        seen = [runtime.submit_to_worker(w, runtime.current_worker).result() for w in range(4)]
+        assert seen == [0, 1, 2, 3]
+
 
 class TestOrdering:
     def test_fifo_per_worker(self, runtime):
@@ -73,6 +78,13 @@ class TestOrdering:
         for future in futures:
             future.result()
         assert order == list(range(50))
+
+    def test_drain_worker_applies_queued_tasks(self, runtime):
+        applied = []
+        for i in range(10):
+            runtime.submit(0, applied.append, i)
+        runtime.drain_worker(0)
+        assert applied == list(range(10))
 
     def test_long_ops_serialize_per_worker(self, runtime):
         active = []
@@ -253,103 +265,6 @@ class TestStats:
             assert delta["workers"][0]["max_queue_depth"] <= 1
             # the lifetime mark is untouched by the window reset
             assert runtime.stats()["workers"][0]["max_queue_depth"] >= 2
-        finally:
-            runtime.close()
-
-
-class TestElasticPrimitives:
-    """Lane overrides, freeze gates, and direct worker addressing — the
-    runtime surface the elastic layer drives at barriers."""
-
-    def test_lane_override_reroutes_placement(self, runtime):
-        assert runtime.worker_of(5) == 1
-        runtime.set_lane_override(5, 3)
-        assert runtime.worker_of(5) == 3
-        assert runtime.lane_overrides() == {5: 3}
-        seen = runtime.submit(5, runtime.current_worker).result()
-        assert seen == 3
-        runtime.clear_lane_override(5)
-        assert runtime.worker_of(5) == 1
-        assert runtime.lane_overrides() == {}
-
-    def test_lane_override_validates_worker(self, runtime):
-        with pytest.raises(ValueError):
-            runtime.set_lane_override(0, 4)
-
-    def test_clear_missing_override_is_noop(self, runtime):
-        runtime.clear_lane_override(17)
-
-    def test_submit_to_worker_bypasses_placement(self, runtime):
-        # lane 1 maps to worker 1, but direct addressing ignores lanes
-        runtime.set_lane_override(1, 0)
-        try:
-            seen = runtime.submit_to_worker(2, runtime.current_worker).result()
-            assert seen == 2
-        finally:
-            runtime.clear_lane_override(1)
-
-    def test_drain_worker_applies_queued_tasks(self, runtime):
-        applied = []
-        for i in range(10):
-            runtime.submit(0, applied.append, i)
-        runtime.drain_worker(0)
-        assert applied == list(range(10))
-
-    def test_freeze_parks_client_until_unfreeze(self):
-        runtime = ThreadedRuntime(2, name="t")
-        try:
-            runtime.freeze_lane(0)
-            submitted = threading.Event()
-
-            def client():
-                future = runtime.submit(0, lambda: "thawed")
-                submitted.set()
-                return future.result(timeout=5)
-
-            thread_result = []
-            thread = threading.Thread(
-                target=lambda: thread_result.append(client())
-            )
-            thread.start()
-            # the client is parked at the gate, not submitting
-            assert not submitted.wait(0.2)
-            runtime.unfreeze_lane(0)
-            thread.join(timeout=5)
-            assert thread_result == ["thawed"]
-        finally:
-            runtime.close()
-
-    def test_freeze_does_not_block_other_lanes(self):
-        runtime = ThreadedRuntime(2, name="t")
-        try:
-            runtime.freeze_lane(0)
-            assert runtime.submit(1, lambda: "ok").result(timeout=2) == "ok"
-            runtime.unfreeze_lane(0)
-        finally:
-            runtime.close()
-
-    def test_bypassing_gates_passes_through_freeze(self):
-        runtime = ThreadedRuntime(2, name="t")
-        try:
-            runtime.freeze_lane(0)
-            with runtime.bypassing_gates():
-                assert runtime.submit(0, lambda: "mover").result(timeout=2) == "mover"
-            runtime.unfreeze_lane(0)
-        finally:
-            runtime.close()
-
-    def test_workers_pass_through_freeze(self):
-        """A worker submitting to its own runtime must never deadlock on
-        a gate — the drain the freeze protects depends on it."""
-        runtime = ThreadedRuntime(2, name="t")
-        try:
-            runtime.freeze_lane(0)
-
-            def from_worker():
-                return runtime.submit(0, lambda: "nested").result(timeout=2)
-
-            assert runtime.submit(1, from_worker).result(timeout=5) == "nested"
-            runtime.unfreeze_lane(0)
         finally:
             runtime.close()
 
