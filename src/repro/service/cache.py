@@ -27,6 +27,10 @@ from repro.kvstore.api import KVStore
 class ResultCache:
     """A small LRU of finished-job payloads.
 
+    Payloads are opaque: :meth:`lookup` returns the very object
+    :meth:`put` was given.  The front door stores a result's encoded
+    JSON bytes, so a hit is served without re-encoding anything.
+
     Thread-compatible, not thread-safe: the front door serializes
     access under its own lock.
     """

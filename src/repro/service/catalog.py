@@ -296,7 +296,7 @@ def _build_summa(store: KVStore, request: JobRequest) -> PreparedJob:
         store.drop_table(table)
         return {
             "steps": result.steps,
-            "c": [[float(x) for x in row] for row in c.tolist()],
+            "c": c.tolist(),
         }
 
     return PreparedJob(
@@ -334,7 +334,7 @@ def _build_kmeans(store: KVStore, request: JobRequest) -> PreparedJob:
         store.drop_table(table)
         return {
             "iterations": clustering.iterations,
-            "centroids": [[float(x) for x in row] for row in clustering.centroids.tolist()],
+            "centroids": clustering.centroids.tolist(),
             "assignments": {
                 str(key): int(c) for key, c in sorted(clustering.assignments.items())
             },

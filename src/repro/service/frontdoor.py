@@ -19,6 +19,13 @@ input run side by side, and a job's scratch tables are dropped on every
 path that does not reach ``collect`` (failure, cancellation, a submit
 error).  Since no job writes an input, completing a job leaves every
 cached result over the same input valid.
+
+A finished job's payload is collected and encoded to JSON bytes once,
+on the scheduler's completion thread and outside the front door's
+lock (see :mod:`repro.service.wire`).  Those bytes are the only stored
+form of a result: the record and the cache hold them, a cache hit
+reuses the cached bytes object, and ``GET …/result`` writes them as
+they are.  A payload that cannot be encoded fails its job.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from repro.service.cache import ResultCache
 from repro.service.catalog import AppCatalog, PreparedJob, default_catalog
 from repro.service.progress import ProgressBoard, ServiceJob
 from repro.service.spec import JobRequest, JobStatus
+from repro.service.wire import encode
 
 
 class FrontDoor:
@@ -112,11 +120,11 @@ class FrontDoor:
             )
             self._jobs[record.job_id] = record
 
-            payload = self._cache.lookup(self._store, fingerprint)
-            if payload is not None:
+            cached = self._cache.lookup(self._store, fingerprint)
+            if cached is not None:
                 self._counter("service.cache_hits", tenant).add()
                 record.cached = True
-                record.payload = payload
+                record.result_json = cached
                 record.finished_at = time.time()
                 self._transition(record, JobStatus.DONE, cached=True)
                 self._retire(record)
@@ -219,24 +227,31 @@ class FrontDoor:
     def _complete(self, record: ServiceJob, handle: JobHandle) -> None:
         with self._lock:
             prepared = self._prepared.pop(record.job_id, None)
+        # Collect and encode on this completion thread without the lock:
+        # a large result takes tens of ms to read back and encode, and
+        # no other tenant's submit should wait behind that.  The record
+        # stays RUNNING until the result bytes exist.
+        result_json: Optional[bytes] = None
+        error: Optional[BaseException] = None
+        if handle.state is JobState.SUCCEEDED and prepared is not None:
+            try:
+                result_json = encode(prepared.collect(self._store, handle.result))
+            except Exception as exc:
+                error = exc
+        with self._lock:
             part_steps = (
                 handle.result.part_steps_run if handle.result is not None else 0
             )
             self._admission.release(record.request.tenant, part_steps)
-            if handle.state is JobState.SUCCEEDED and prepared is not None:
-                try:
-                    payload = prepared.collect(self._store, handle.result)
-                    self._cache.put(
-                        self._store, record.fingerprint, prepared.input_tables, payload
-                    )
-                    record.payload = payload
-                    record.finished_at = time.time()
-                    self._transition(record, JobStatus.DONE, cached=False)
-                    self._retire(record)
-                    self._counter("service.jobs_done", record.request.tenant).add()
-                except Exception as exc:
-                    self._drop_scratch(prepared)
-                    self._fail(record, exc)
+            if result_json is not None:
+                self._cache.put(
+                    self._store, record.fingerprint, prepared.input_tables, result_json
+                )
+                record.result_json = result_json
+                record.finished_at = time.time()
+                self._transition(record, JobStatus.DONE, cached=False)
+                self._retire(record)
+                self._counter("service.jobs_done", record.request.tenant).add()
             elif handle.state is JobState.CANCELLED:
                 self._drop_scratch(prepared)
                 record.finished_at = time.time()
@@ -244,7 +259,7 @@ class FrontDoor:
                 self._retire(record)
             else:
                 self._drop_scratch(prepared)
-                self._fail(record, handle.error or ServiceError("job failed"))
+                self._fail(record, error or handle.error or ServiceError("job failed"))
             self._drain()
 
     def _drop_scratch(self, prepared: Optional[PreparedJob]) -> None:
@@ -290,7 +305,8 @@ class FrontDoor:
             return list(self._jobs.values())
 
     def result(self, job_id: str) -> Any:
-        """The payload of a DONE job; raises for anything else."""
+        """The payload of a DONE job, decoded from the bytes the HTTP
+        surface serves; raises for anything else."""
         record = self.job(job_id)
         if record.status is not JobStatus.DONE:
             raise ServiceError(

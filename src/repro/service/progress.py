@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.service.spec import JobRequest, JobStatus
+from repro.service.wire import decode
 
 #: Per-job event-log bound: old step events are compacted away first so
 #: a long-running job cannot grow the board without limit.
@@ -43,9 +44,17 @@ class ServiceJob:
     #: Rolling superstep snapshot (step number, durations, counts).
     last_step: Optional[Dict[str, Any]] = None
     steps_seen: int = 0
-    #: The collected result payload, once DONE.
-    payload: Any = None
+    #: The result payload encoded once at completion (see
+    #: :mod:`repro.service.wire`), once DONE; a cache hit shares the
+    #: cached bytes object.  The only stored form of the result.
+    result_json: Optional[bytes] = field(default=None, repr=False)
     _done: threading.Event = field(default_factory=threading.Event, repr=False)
+
+    @property
+    def payload(self) -> Any:
+        """The result decoded from :attr:`result_json` (a fresh value on
+        every access), or ``None`` before DONE."""
+        return None if self.result_json is None else decode(self.result_json)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self._done.wait(timeout)

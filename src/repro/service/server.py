@@ -1,4 +1,4 @@
-"""HTTP surface for the front door (stdlib only).
+"""HTTP surface for the front door (``http.server``).
 
 A thin translation layer: JSON bodies become :class:`JobRequest`
 objects, front-door errors become status codes (400 for bad specs,
@@ -7,7 +7,10 @@ a result that is not ready), and the progress board becomes a
 long-poll endpoint plus a Server-Sent-Events stream.  One thread per
 connection (``ThreadingHTTPServer``) — long-polls and SSE streams
 park their thread on the board's condition variable, not the front
-door's lock, so they never block submissions.
+door's lock, so they never block submissions.  Every body is encoded by
+:func:`repro.service.wire.encode`; a result body is the fixed envelope
+around the bytes the job was encoded to at completion, never
+re-encoded per request.
 
 Routes::
 
@@ -41,6 +44,7 @@ from repro.errors import (
 )
 from repro.service.frontdoor import FrontDoor
 from repro.service.spec import JobRequest, JobStatus
+from repro.service.wire import encode, result_body
 
 #: Cap on one long-poll / SSE wait; clients just reconnect.
 MAX_POLL_SECONDS = 30.0
@@ -50,13 +54,18 @@ class _Handler(BaseHTTPRequestHandler):
     # set by ServiceServer
     front_door: FrontDoor = None  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: header and body go out as two writes, and with Nagle
+    # on the body would wait for the client's (delayed) ACK of the header.
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt: str, *args: Any) -> None:  # keep tests quiet
         pass
 
     # -- plumbing ----------------------------------------------------------------
     def _send_json(self, code: int, payload: Any, headers: Optional[dict] = None) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._send_body(code, encode(payload), headers)
+
+    def _send_body(self, code: int, body: bytes, headers: Optional[dict] = None) -> None:
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -129,9 +138,8 @@ class _Handler(BaseHTTPRequestHandler):
                     + (f": {record.error}" if record.error else ""),
                 )
             else:
-                self._send_json(
-                    200, {"job_id": job_id, "cached": record.cached,
-                          "result": record.payload},
+                self._send_body(
+                    200, result_body(record.job_id, record.cached, record.result_json)
                 )
         elif sub == "events":
             since = int(query.get("since", 0))
@@ -165,8 +173,9 @@ class _Handler(BaseHTTPRequestHandler):
                 continue
             for event in events:
                 cursor = event["seq"] + 1
-                frame = json.dumps(event, sort_keys=True)
-                self.wfile.write(f"id: {event['seq']}\ndata: {frame}\n\n".encode())
+                self.wfile.write(
+                    b"id: %d\ndata: %s\n\n" % (event["seq"], encode(event))
+                )
                 if event["kind"] == "status" and JobStatus(
                     event["data"]["status"]
                 ).terminal:
