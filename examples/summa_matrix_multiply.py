@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from repro.apps.summa import BlockGrid, multiplications_per_step, summa_multiply
-from repro.ebsp.results import Counters
 from repro.kvstore.replicated import ReplicatedKVStore
+from repro.obs import MetricsRegistry
 
 
 def main() -> None:
@@ -37,7 +37,7 @@ def main() -> None:
 
     for label, synchronize in [("synchronized", True), ("no-sync", False)]:
         store = ReplicatedKVStore(n_shards=9, replication=0)  # the paper used 10 WXS containers
-        counters = Counters()
+        counters = MetricsRegistry()
         start = time.monotonic()
         c, result = summa_multiply(
             store,
@@ -51,13 +51,14 @@ def main() -> None:
         elapsed = time.monotonic() - start
         store.close()
         assert np.allclose(c, expected), "wrong product!"
+        muls = counters.snapshot()
         steps = f"{result.steps} steps" if synchronize else "no steps (event-driven)"
         print(
             f"{label:>12}: {elapsed:5.2f}s | {steps} | "
-            f"{counters.get('muls_total')} block multiplies | correct ✓"
+            f"{muls['muls_total']} block multiplies | correct ✓"
         )
         if synchronize:
-            per_step = [counters.get(f"muls_step_{s}") for s in range(result.steps)]
+            per_step = [muls.get(f"muls_step_{s}", 0) for s in range(result.steps)]
             print(f"{'':>12}  multiplies per step: {per_step}  <- live Table II")
             sync_time = elapsed
         else:

@@ -19,10 +19,11 @@ import numpy as np
 
 from repro.ebsp.job import Compute, ComputeContext, Job
 from repro.ebsp.loaders import EnableKeysLoader, Loader
-from repro.ebsp.results import Counters, JobResult
+from repro.ebsp.results import JobResult
 from repro.ebsp.runner import run_job
 from repro.ebsp.properties import JobProperties
 from repro.kvstore.api import KVStore, TableSpec
+from repro.obs.metrics import MetricsRegistry
 from repro.apps.summa.blocks import BlockGrid, assemble, split
 from repro.apps.summa.schedule import _needs_forward
 
@@ -56,7 +57,7 @@ class _SummaCompute(Compute):
         self,
         grid: BlockGrid,
         synchronized: bool,
-        counters: Optional[Counters],
+        counters: Optional[MetricsRegistry],
         simulated_multiply_seconds: float = 0.0,
     ):
         self._grid = grid
@@ -107,8 +108,8 @@ class _SummaCompute(Compute):
             state.c_block = state.c_block + state.held_a[batch] @ state.held_b[batch]
             state.next_mul += 1
             if self._counters is not None:
-                self._counters.add(f"muls_step_{ctx.step_num}")
-                self._counters.add("muls_total")
+                self._counters.counter(f"muls_step_{ctx.step_num}").add()
+                self._counters.counter("muls_total").add()
             return True
         return False
 
@@ -168,7 +169,7 @@ class _SummaJob(Job):
         table_name: str,
         grid: BlockGrid,
         synchronized: bool,
-        counters: Optional[Counters],
+        counters: Optional[MetricsRegistry],
         simulated_multiply_seconds: float = 0.0,
     ):
         self._table_name = table_name
@@ -242,7 +243,7 @@ def summa_job(
     table_name: str,
     grid: BlockGrid,
     synchronized: bool = True,
-    counters: Optional[Counters] = None,
+    counters: Optional[MetricsRegistry] = None,
     simulated_multiply_seconds: float = 0.0,
 ) -> Job:
     """The SUMMA :class:`Job` object, unexecuted.
@@ -270,7 +271,7 @@ def summa_multiply(
     *,
     synchronize: bool = True,
     table_name: str = "summa_blocks",
-    counters: Optional[Counters] = None,
+    counters: Optional[MetricsRegistry] = None,
     simulated_multiply_seconds: float = 0.0,
     **engine_kwargs: Any,
 ) -> Tuple[np.ndarray, JobResult]:
@@ -279,8 +280,10 @@ def summa_multiply(
     With ``synchronize=True`` the run takes exactly
     :func:`~repro.apps.summa.schedule.schedule_length` steps; with
     ``synchronize=False`` the same job runs barrier-free on the no-sync
-    engine (the paper's §V-B speedup).  Pass *counters* to record the
-    per-step multiply counts (Table II instrumentation).
+    engine (the paper's §V-B speedup).  Pass a
+    :class:`~repro.obs.MetricsRegistry` as *counters* to record the
+    per-step multiply counts (``muls_step_<n>``, ``muls_total``: the
+    Table II instrumentation).
 
     *simulated_multiply_seconds* > 0 gives each block multiply a fixed
     wall-clock duration (a GIL-releasing sleep), modelling a dedicated

@@ -25,10 +25,10 @@ from repro.apps.pagerank import (
 from repro.apps.summa import BlockGrid, multiplications_per_step, summa_multiply
 from repro.apps.sssp import DynamicGraphWorkload, FullScanSSSP, SelectiveSSSP
 from repro.bench.harness import TrialStats
-from repro.ebsp.results import Counters
 from repro.graph.generators import power_law_directed_graph
 from repro.kvstore.partitioned import PartitionedKVStore
 from repro.kvstore.replicated import ReplicatedKVStore
+from repro.obs.metrics import MetricsRegistry
 
 # ---------------------------------------------------------------------------
 # Table I — PageRank, direct vs MapReduce variant
@@ -133,11 +133,12 @@ def run_table2(grid: BlockGrid = BlockGrid(3, 3, 3), block_size: int = 24) -> Di
     rng = np.random.default_rng(0)
     a = rng.standard_normal((grid.m_rows * block_size, grid.batches * block_size))
     b = rng.standard_normal((grid.batches * block_size, grid.n_cols * block_size))
-    counters = Counters()
+    counters = MetricsRegistry()
     store = ReplicatedKVStore(n_shards=grid.m_rows * grid.n_cols, replication=0)
     try:
         _, result = summa_multiply(store, a, b, grid, synchronize=True, counters=counters)
-        measured = [counters.get(f"muls_step_{s}") for s in range(result.steps)]
+        muls = counters.snapshot()
+        measured = [muls.get(f"muls_step_{s}", 0) for s in range(result.steps)]
     finally:
         store.close()
     return {"analytic": analytic, "measured": measured}

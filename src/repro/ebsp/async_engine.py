@@ -235,7 +235,7 @@ class AsyncEngine(JobFrame):
                 finally:
                     self._queuing.delete_queue_set(queue_set.name)
 
-        self._counters.add("compute_invocations", sum(invocations))
+        self._metrics.counter("compute_invocations").add(sum(invocations))
         return self._finish_run(started, {"engine": "async"}, steps=0, synchronized=False)
 
     def _worker(self, qctx: QueueWorkerContext) -> int:
@@ -272,7 +272,7 @@ class AsyncEngine(JobFrame):
             if record is None and can_steal:
                 record = self._try_steal(qctx)
                 if record is not None:
-                    self._counters.add("messages_stolen")
+                    self._metrics.counter("messages_stolen").add()
                     if self._runtime is not None:
                         self._runtime.record_steal(qctx.part_index)
             if record is None:
@@ -286,7 +286,7 @@ class AsyncEngine(JobFrame):
                     if record is None:
                         if self._controller.is_done() or self._abort.is_set():
                             break
-                        self._counters.add("worker_parks")
+                        self._metrics.counter("worker_parks").add()
                         with tracer.span("park", cat="engine", part=qctx.part_index):
                             t_park = time.perf_counter()
                             event.wait()
@@ -336,10 +336,9 @@ class AsyncEngine(JobFrame):
             compute_seconds += time.perf_counter() - t_invoke
             if not purse.empty:
                 self._controller.return_weight(purse.drain())
-        self._counters.add("messages_sent", ctx.messages_sent)
-        registry = self._counters.registry
-        registry.counter("engine.compute_seconds", unit="seconds").add(compute_seconds)
-        registry.counter("engine.queue_wait_seconds", unit="seconds").add(queue_wait)
+        self._metrics.counter("messages_sent").add(ctx.messages_sent)
+        self._metrics.counter("engine.compute_seconds", unit="seconds").add(compute_seconds)
+        self._metrics.counter("engine.queue_wait_seconds", unit="seconds").add(queue_wait)
         return ctx.invocations
 
     def _try_steal(self, qctx: QueueWorkerContext) -> Optional[tuple]:

@@ -44,7 +44,7 @@ from repro.errors import (
     PropertyViolationError,
     RecoveryError,
 )
-from repro.ebsp.frame import FrameContext, JobFrame
+from repro.ebsp.frame import FrameContext, JobFrame, _job_counters
 from repro.ebsp.job import BaseContext, BatchComputeContext, Compute, Job
 from repro.ebsp.loaders import StagedLoaderContext
 from repro.ebsp.recovery import FailureInjector, ProgressTable, SimulatedFailure
@@ -847,7 +847,7 @@ class SyncEngine(JobFrame):
             "_store",
             "_job",
             "_tracer",
-            "_counters",
+            "_metrics",
             "_direct_exporter",
             "_runtime",
             "_runtime_baseline",
@@ -984,7 +984,7 @@ class SyncEngine(JobFrame):
                             steps_taken = step
                             break
                         self._run_step(step)
-                        self._counters.add("barriers")
+                        self._metrics.counter("barriers").add()
                         if (
                             self._checkpoints is not None
                             and self._checkpoint_interval
@@ -1021,7 +1021,13 @@ class SyncEngine(JobFrame):
             ledger = {
                 s: dict(per_part) for s, per_part in self._spilled_per_step.items()
             }
-            counters, maxima = self._counters.split_snapshot()
+            # engine counters fold with ``add`` on resume, high-water
+            # marks with ``record_max``: split them by instrument kind
+            counters: Dict[str, int] = {}
+            maxima: Dict[str, int] = {}
+            for name, entry in _job_counters(self._metrics.dump()).items():
+                split = counters if entry["type"] == "counter" else maxima
+                split[name] = entry["value"]
             payload = {
                 "job_key": self._checkpoints.job_key,
                 "step": step,
@@ -1036,9 +1042,9 @@ class SyncEngine(JobFrame):
                 "maxima": maxima,
             }
             n_bytes = self._checkpoints.save(step, payload)
-        self._counters.add("checkpoints_written")
-        self._counters.add("checkpoint_bytes", n_bytes)
-        self._counters.registry.counter("engine.checkpoint_seconds", unit="seconds").add(
+        self._metrics.counter("checkpoints_written").add()
+        self._metrics.counter("checkpoint_bytes").add(n_bytes)
+        self._metrics.counter("engine.checkpoint_seconds", unit="seconds").add(
             time.perf_counter() - started
         )
 
@@ -1070,11 +1076,11 @@ class SyncEngine(JobFrame):
         }
         self._timeline = list(payload["timeline"])
         for name, value in payload["counters"].items():
-            self._counters.add(name, value)
+            self._metrics.counter(name).add(value)
         for name, value in payload["maxima"].items():
-            self._counters.record_max(name, value)
+            self._metrics.gauge(name).record_max(value)
         # 1-based so "resumed at step 0" is distinguishable from "no resume"
-        self._counters.add("resumed_from_step", step + 1)
+        self._metrics.counter("resumed_from_step").add(step + 1)
         return step
 
     def _initialize(self) -> None:
@@ -1121,10 +1127,9 @@ class SyncEngine(JobFrame):
         # Per-part barrier wait: Σ over timed parts of (t_barrier −
         # finished_at), folded through the pairwise combine above.
         barrier_wait = max(0.0, result.n_timed * t_barrier - result.finished_sum)
-        registry = self._counters.registry
-        registry.counter("engine.compute_seconds", unit="seconds").add(result.compute_seconds)
-        registry.counter("engine.flush_seconds", unit="seconds").add(result.flush_seconds)
-        registry.counter("engine.barrier_wait_seconds", unit="seconds").add(barrier_wait)
+        self._metrics.counter("engine.compute_seconds", unit="seconds").add(result.compute_seconds)
+        self._metrics.counter("engine.flush_seconds", unit="seconds").add(result.flush_seconds)
+        self._metrics.counter("engine.barrier_wait_seconds", unit="seconds").add(barrier_wait)
         from repro.ebsp.results import StepMetrics
 
         metrics_entry = StepMetrics(
@@ -1154,10 +1159,10 @@ class SyncEngine(JobFrame):
     ) -> None:
         """Post-barrier bookkeeping: counters, aggregation, spill ledger."""
         self._fold(result)
-        self._counters.add("compute_invocations", result.invocations)
-        self._counters.add("part_steps_run", len(active))
+        self._metrics.counter("compute_invocations").add(result.invocations)
+        self._metrics.counter("part_steps_run").add(len(active))
         if skipped:
-            self._counters.add("parts_skipped", len(skipped))
+            self._metrics.counter("parts_skipped").add(len(skipped))
             # a skipped part would have contributed the identity partial;
             # synthesize it client-side so aggregation is unchanged
             for name, agg in self._aggs.items():
@@ -1180,9 +1185,9 @@ class SyncEngine(JobFrame):
             for part, count in per_part.items():
                 dest[part] = dest.get(part, 0) + count
         for name, value in result.counters.items():
-            self._counters.add(name, value)
+            self._metrics.counter(name).add(value)
         for name, value in result.maxima.items():
-            self._counters.record_max(name, value)
+            self._metrics.gauge(name).record_max(value)
         if self._direct_exporter is not None:
             for key, value in result.outputs:
                 self._direct_exporter.export(key, value)
@@ -1219,7 +1224,7 @@ class SyncEngine(JobFrame):
                 try:
                     results[part] = pending.pop(part).result()
                 except (SimulatedFailure, WorkerLostError) as exc:
-                    self._counters.add("part_step_retries")
+                    self._metrics.counter("part_step_retries").add()
                     attempts[part] = attempts.get(part, 0) + 1
                     if attempts[part] > MAX_RETRIES:
                         raise
@@ -1273,7 +1278,7 @@ class SyncEngine(JobFrame):
             _DiscardSpillsConsumer(step + 1, part)
         )
         if discarded:
-            self._counters.add("spills_discarded", discarded)
+            self._metrics.counter("spills_discarded").add(discarded)
 
     def _finish_aggregation(self, merged_partials: Dict[str, Any]) -> None:
         """Make aggregation results readable in the following step.

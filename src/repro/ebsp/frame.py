@@ -7,8 +7,9 @@ or without them, on queue sets under Huang termination
 not depend on *how* the computes are driven is written once, here:
 
 * construction — tracer, compute, aggregators, the execution plan, the
-  job id, counters, the store's worker runtime and the direct exporter,
-  with the job's state exporters checked before anything runs;
+  job id, the metrics registry, the store's worker runtime and the
+  direct exporter, with the job's state exporters checked before
+  anything runs;
 * the state tables (names, part count, creation), the job's stats
   window, and the broadcast snapshot (:meth:`JobFrame._open`);
 * key → part routing, memoized (:meth:`JobFrame._part_of`);
@@ -33,11 +34,20 @@ from typing import Any, Dict, Iterator, List, Optional
 from repro.errors import JobSpecError
 from repro.ebsp.job import ComputeContext, Job
 from repro.ebsp.properties import ExecutionPlan
-from repro.ebsp.results import Counters, JobResult, record_job_stats, record_job_trace
+from repro.ebsp.results import JobResult, record_job_stats, record_job_trace
 from repro.kvstore.api import FnPairConsumer, KVStore, Table, TableSpec
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, resolve_tracer
 
 _job_ids = itertools.count()
+
+
+def _job_counters(dump: Dict[str, Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
+    """The job counters of a registry dump: its un-dotted instruments —
+    engine counters and high-water marks, as opposed to the dotted
+    per-layer ones (``engine.*``, ``runtime.*``).  They are what
+    ``JobResult.counters`` reports and what a checkpoint carries."""
+    return {name: entry for name, entry in dump.items() if "." not in name}
 
 
 class FrameContext(ComputeContext):
@@ -125,7 +135,7 @@ class JobFrame:
                 raise JobSpecError(
                     f"state exporter for {table_name!r}, which is not a state table"
                 )
-        self._counters = Counters()
+        self._metrics = MetricsRegistry()
         self._direct_exporter = job.direct_output_exporter()
         self._jid = next(_job_ids)
         self._runtime = getattr(store, "runtime", None)
@@ -212,15 +222,18 @@ class JobFrame:
         self, started: float, trace_metadata: Dict[str, Any], **fields: Any
     ) -> JobResult:
         """Assemble this run's :class:`JobResult` from the engine's own
-        *fields* (steps, aggregates, …) and the frame's counters; record
+        *fields* (steps, aggregates, …) and the frame's metrics; record
         it with the store, export outputs, and call ``on_complete``."""
         self._capture_store_stats()
         worker_stats = self._capture_runtime_stats()
+        metrics = self._metrics.dump()
         result = JobResult(
-            counters=self._counters.snapshot(),
+            counters={
+                name: entry["value"] for name, entry in _job_counters(metrics).items()
+            },
             elapsed_seconds=time.monotonic() - started,
             worker_stats=worker_stats,
-            metrics=self._counters.registry.dump(),
+            metrics=metrics,
             **fields,
         )
         if self._tracer.enabled:
@@ -241,7 +254,7 @@ class JobFrame:
         for name, value in stats.snapshot().items():
             delta = value - self._stats_baseline.get(name, 0)
             if delta:
-                self._counters.add(f"store_{name}", delta)
+                self._metrics.counter(f"store_{name}").add(delta)
 
     def _capture_runtime_stats(self) -> Dict[str, Any]:
         """This job's per-worker execution profile (delta over the
@@ -254,21 +267,20 @@ class JobFrame:
         stats = stats_delta(self._runtime_baseline, self._runtime.stats())
         if not stats:
             return stats
-        registry = self._counters.registry
-        registry.gauge("runtime.tasks").set(stats.get("tasks", 0))
-        registry.gauge("runtime.busy_seconds", unit="seconds").set(
+        self._metrics.gauge("runtime.tasks").set(stats.get("tasks", 0))
+        self._metrics.gauge("runtime.busy_seconds", unit="seconds").set(
             stats.get("busy_seconds", 0.0)
         )
-        registry.gauge("runtime.steals").set(stats.get("steals", 0))
-        registry.gauge("runtime.gang_tasks").set(stats.get("gang_tasks", 0))
+        self._metrics.gauge("runtime.steals").set(stats.get("steals", 0))
+        self._metrics.gauge("runtime.gang_tasks").set(stats.get("gang_tasks", 0))
         # Crash-tolerance counters: how many workers this job lost (and
         # got back), and how many it killed for blowing a task deadline.
         if stats.get("respawns"):
-            self._counters.add("worker_respawns", stats["respawns"])
+            self._metrics.counter("worker_respawns").add(stats["respawns"])
         if stats.get("worker_timeouts"):
-            self._counters.add("worker_timeouts", stats["worker_timeouts"])
+            self._metrics.counter("worker_timeouts").add(stats["worker_timeouts"])
         if stats.get("degraded"):
-            self._counters.record_max("workers_degraded", len(stats["degraded"]))
+            self._metrics.gauge("workers_degraded").record_max(len(stats["degraded"]))
         return stats
 
     def _export_outputs(self) -> None:

@@ -1,87 +1,18 @@
 """Job results and execution counters.
 
-Since the ``repro.obs`` subsystem landed, :class:`Counters` is a thin
-facade over an :class:`~repro.obs.MetricsRegistry` — the registry is
-the single source of truth, the facade keeps the engines' historical
-``add``/``record_max``/``snapshot`` API (and its integer-counter
-semantics) intact.  :class:`JobResult` likewise keeps every historical
-accessor while additionally carrying the full metrics dump and, for
-traced runs, the recorded span trace.
+The engines write every instrument into one
+:class:`~repro.obs.MetricsRegistry` per job.  :class:`JobResult`
+carries the registry's full dump and, as ``counters``, the plain view
+of its un-dotted instruments — the engine counters and high-water
+marks (``messages_sent``, ``spill_in_flight_hwm``, …), as opposed to
+the dotted per-layer ones (``engine.*``, ``runtime.*``).  Traced runs
+also carry the recorded span trace.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
-
-from repro.obs.metrics import MetricsRegistry
-
-
-class Counters:
-    """Thread-safe named counters the engines use for instrumentation.
-
-    A facade over a :class:`~repro.obs.MetricsRegistry`: ``add`` feeds
-    a registry counter, ``record_max`` a high-water-mark gauge, and
-    ``snapshot`` reads back exactly the names that came through this
-    facade (so engine counters keep their un-prefixed names while the
-    registry may hold other instruments alongside).
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self._registry = registry if registry is not None else MetricsRegistry()
-        self._lock = threading.Lock()
-        self._counters: Dict[str, Any] = {}
-        self._maxima: Dict[str, Any] = {}
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self._registry
-
-    def _counter(self, name: str) -> Any:
-        metric = self._counters.get(name)
-        if metric is None:
-            metric = self._registry.counter(name)
-            with self._lock:
-                self._counters[name] = metric
-        return metric
-
-    def add(self, name: str, amount: int = 1) -> None:
-        self._counter(name).add(amount)
-
-    def record_max(self, name: str, value: int) -> None:
-        """Keep the largest reported *value* (high-water-mark counters)."""
-        metric = self._maxima.get(name)
-        if metric is None:
-            metric = self._registry.gauge(name)
-            with self._lock:
-                self._maxima[name] = metric
-        metric.record_max(value)
-
-    def get(self, name: str) -> int:
-        with self._lock:
-            metric = self._counters.get(name) or self._maxima.get(name)
-        return metric.value() if metric is not None else 0
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            metrics = {**self._counters, **self._maxima}
-        return {name: metric.value() for name, metric in metrics.items()}
-
-    def split_snapshot(self) -> tuple:
-        """``(counters, maxima)`` as separate dicts.
-
-        A checkpoint restores counters into a fresh job, which needs
-        to know which names fold with ``add`` and which with
-        ``record_max``.
-        """
-        with self._lock:
-            counters = dict(self._counters)
-            maxima = dict(self._maxima)
-        return (
-            {name: metric.value() for name, metric in counters.items()},
-            {name: metric.value() for name, metric in maxima.items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -131,8 +62,8 @@ class JobResult:
     #: runtime (e.g. a bare Table implementation).
     worker_stats: Dict[str, Any] = field(default_factory=dict)
     #: Full metrics-registry dump for this run: name → {type, unit,
-    #: value}.  Superset of ``counters`` (which keeps the legacy
-    #: un-typed view).
+    #: value}.  Superset of ``counters``, which holds the values of its
+    #: un-dotted names.
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: For traced runs, the Chrome/Perfetto trace-event document the
     #: run exported (``None`` when tracing was off).
@@ -286,7 +217,7 @@ JOB_STATS_TABLE = "__ripple_job_stats"
 #: ``inspect trace <job>`` and ``inspect metrics <job>``.
 JOB_TRACES_TABLE = "__ripple_job_traces"
 
-#: Counters accumulated into the job-stats table, plus derived totals.
+#: Job counters accumulated into the job-stats table, plus derived totals.
 _RECORDED_COUNTERS = (
     "compute_invocations",
     "part_steps_run",

@@ -585,10 +585,6 @@ class StepColumns:
         self.creates: List[Tuple[Any, int, Any]] = []
         self.consumed: List[tuple] = []
 
-    @property
-    def n_messages(self) -> int:
-        return sum(len(c) for c in self.msg_key_chunks)
-
 
 def _object_column(values: Any) -> np.ndarray:
     """A 1-D object array preserving element identity exactly."""

@@ -58,10 +58,6 @@ class BadTableSpecError(StoreError):
     """Raised when a :class:`~repro.kvstore.api.TableSpec` is invalid."""
 
 
-class PartitioningError(StoreError):
-    """Raised when co-partitioning constraints cannot be satisfied."""
-
-
 class UbiquityViolationError(StoreError):
     """Raised when a ubiquitous table grows past its configured size bound.
 

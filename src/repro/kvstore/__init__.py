@@ -29,7 +29,6 @@ from repro.kvstore.api import (
     FnPairConsumer,
     FnPartConsumer,
 )
-from repro.kvstore.columnar import ColumnBatch, ColumnSchema, ColumnarTable
 from repro.kvstore.local import LocalKVStore
 from repro.kvstore.partitioned import PartitionedKVStore
 from repro.kvstore.replicated import ReplicatedKVStore
@@ -44,9 +43,6 @@ __all__ = [
     "PairConsumer",
     "FnPartConsumer",
     "FnPairConsumer",
-    "ColumnBatch",
-    "ColumnSchema",
-    "ColumnarTable",
     "LocalKVStore",
     "PartitionedKVStore",
     "ReplicatedKVStore",

@@ -919,10 +919,6 @@ class KVStore(abc.ABC):
         with self._lock:
             return name in self._tables
 
-    def create_table_like(self, name: str, like: str, **kwargs: Any) -> Table:
-        """Create a table consistently partitioned with table *like*."""
-        return self.create_table(TableSpec(name=name, like=like, **kwargs))
-
     def get_or_create_table(self, spec: TableSpec) -> Table:
         if self.has_table(spec.name):
             return self.get_table(spec.name)

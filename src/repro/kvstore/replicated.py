@@ -188,22 +188,13 @@ class ReplicatedKVStore(KVStore):
         with shard.lock:
             shard.failed = True
 
-    def _quiesce_shard(self, shard_index: int) -> None:
-        """Drain the short lane of the worker serving the shard's parts,
-        so a write queued there lands before a promotion decides which
-        backup is freshest."""
-        self.runtime.drain_worker(shard_index % self.runtime.n_workers)
-
     def promote_backup(self, shard_index: int) -> int:
         """Promote the freshest backup to primary; return batches lost.
 
         With synchronous replication nothing is lost.  With async
         replication, writes queued but not yet applied to the promoted
         backup are gone — the situation EBSP recovery must repair.
-        Quiesces the shard's worker first, so a write queued on its
-        lane cannot race the promotion.
         """
-        self._quiesce_shard(shard_index)
         shard = self._shards[shard_index]
         with shard.lock:
             if not shard.failed:

@@ -3,8 +3,11 @@
 This is the baseline architecture the paper improves on: every
 iteration costs two synchronizations (map→reduce and the inter-job
 barrier) and a full round of table I/O between reduce and the next map.
-The driver exists so benchmarks can measure exactly that cost against
-a fused direct EBSP job.
+No benchmark drives it: the Table I MapReduce baseline is
+:func:`~repro.apps.pagerank.mapreduce_variant.pagerank_mapreduce`, one
+EBSP job that alternates map-like and reduce-like steps.  This driver
+is library API for iterating any couplet (the layering integration
+test builds PageRank on it).
 """
 
 from __future__ import annotations

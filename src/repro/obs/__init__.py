@@ -7,9 +7,10 @@ Three pillars (see ``docs/internals.md`` § Observability):
    implementation, instrumented through both EBSP engines, the spill
    transport, the worker runtime, and the stores' batched RPCs.
 2. **Metrics** (:mod:`repro.obs.metrics`): one registry of counters,
-   gauges, and histograms with explicit units; the legacy scattered
-   counters (``Counters``, ``SerdeStats``, worker stats) are facades
-   over it.
+   gauges, and histograms with explicit units.  The engines write a
+   job's registry directly; ``SerdeStats`` keeps the stores' stats
+   format as a facade over one, and the runtime's worker stats surface
+   through it as gauges.
 3. **Exporters** (:mod:`repro.obs.export`): Chrome/Perfetto
    trace-event JSON, flat metrics dumps, and the ``inspect trace`` /
    ``inspect metrics`` CLI subcommands built on them.

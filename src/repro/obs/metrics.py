@@ -1,10 +1,9 @@
 """The unified metrics registry.
 
-Before this module the reproduction's instrumentation was scattered:
-``Counters`` in the engines, ``SerdeStats`` in the stores, per-worker
-counters in the runtime, ad-hoc fields on ``StepMetrics``.  The
-registry gives them one home with explicit units, so a benchmark (or
-``inspect metrics``) reads every number from one namespace:
+One home, with explicit units, for the engines' job counters, the
+stores' serde statistics and the runtime's per-worker stats, so a
+benchmark (or ``inspect metrics``) reads every number from one
+namespace:
 
 - :class:`Counter` — monotonically increasing sum (``add``);
 - :class:`Gauge` — last-written value (``set``), with a
@@ -14,9 +13,10 @@ registry gives them one home with explicit units, so a benchmark (or
 Metric names are dotted paths (``engine.compute_seconds``,
 ``serde.marshalled_bytes``, ``runtime.tasks``); units are free-form
 strings (``"count"``, ``"bytes"``, ``"seconds"``).  All operations are
-thread-safe.  The legacy facades (``repro.ebsp.results.Counters``,
-``repro.serde.SerdeStats``) are re-plumbed onto a registry and keep
-their historical APIs.
+thread-safe.  Each job's engine writes one registry directly; its
+un-dotted names (``messages_sent``, ``spill_in_flight_hwm``) are the
+job's ``JobResult.counters``.  ``repro.serde.SerdeStats`` is a facade
+over a registry that keeps the stores' ``snapshot()`` key set.
 """
 
 from __future__ import annotations

@@ -70,17 +70,6 @@ class RuntimeClosedError(RuntimeError):
     """Raised when work is submitted to a closed runtime."""
 
 
-def _drain_probe() -> bool:
-    """No-op probe whose completion proves a worker's lane has drained."""
-    return True
-
-
-# Shippable by construction (module-level, no state): in process mode the
-# probe runs inside the worker, proving the *resident* lane has drained.
-# Attribute set directly to keep this module import-light.
-_drain_probe._ripple_shippable = True
-
-
 def finished_future(result: Any = None, exception: Optional[BaseException] = None) -> Future:
     """An already-resolved :class:`Future` (the inline runtime's currency)."""
     future: Future = Future()
@@ -207,19 +196,9 @@ class WorkerRuntime(abc.ABC):
         """Run ``fn(*args)`` on a specific *worker*, bypassing placement.
 
         Addresses the physical worker directly, FIFO with its short
-        lane: what :meth:`drain_worker` probes with, and how a store
-        reaches every started worker (to evict a dropped table's
-        resident parts).
+        lane: how a store reaches every started worker (to evict a
+        dropped table's resident parts).
         """
-
-    def drain_worker(self, worker: int) -> None:
-        """Block until everything queued on *worker*'s short lane has run.
-
-        FIFO per worker makes this exact: a probe submitted now resolves
-        only after every previously accepted task has executed — i.e.
-        every acknowledged write to a resident part has been applied.
-        """
-        self.submit_to_worker(worker, _drain_probe).result()
 
     def run_tasks(self, fns: Sequence[Callable[[], Any]], label: str = "gang") -> List[Any]:
         """Run a gang of cooperating tasks on dedicated threads; gather.

@@ -864,10 +864,6 @@ def child_upcall_async(lane: int, is_long: bool, payload: bytes) -> Future:
     return future
 
 
-def child_upcall(lane: int, is_long: bool, payload: bytes) -> Any:
-    return child_upcall_async(lane, is_long, payload).result()
-
-
 def _watch_parent(parent_pid: int) -> None:
     """Exit when the parent dies: fork children inherit the parent ends
     of *earlier* children's pipes, so EOF alone cannot detect an

@@ -19,7 +19,7 @@ from repro.obs.metrics import MetricsRegistry
 
 
 class SerdeStats:
-    """Counters for marshalling activity, safe to read concurrently.
+    """Marshalling activity counts, safe to read concurrently.
 
     A facade over a :class:`~repro.obs.MetricsRegistry`: the five
     historical fields stay readable as properties and ``snapshot()``

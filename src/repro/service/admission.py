@@ -92,9 +92,6 @@ class AdmissionController:
     def quota_for(self, tenant: str) -> TenantQuota:
         return self._quotas.get(tenant, self._default)
 
-    def set_quota(self, tenant: str, quota: TenantQuota) -> None:
-        self._quotas[tenant] = quota
-
     def queue_depth(self) -> int:
         return len(self._queue)
 

@@ -14,9 +14,9 @@ from repro.apps.summa import (
     split,
     summa_multiply,
 )
-from repro.ebsp.results import Counters
 from repro.kvstore.local import LocalKVStore
 from repro.kvstore.replicated import ReplicatedKVStore
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestSchedule:
@@ -91,11 +91,12 @@ class TestExecution:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((18, 18))
         b = rng.standard_normal((18, 18))
-        counters = Counters()
+        counters = MetricsRegistry()
         _, result = summa_multiply(
             store, a, b, BlockGrid(3, 3, 3), synchronize=True, counters=counters
         )
-        observed = [counters.get(f"muls_step_{s}") for s in range(result.steps)]
+        muls = counters.snapshot()
+        observed = [muls.get(f"muls_step_{s}", 0) for s in range(result.steps)]
         assert observed == [1, 3, 6, 3, 6, 3, 5]
 
     def test_nosync_correct(self, store):
@@ -110,11 +111,11 @@ class TestExecution:
         rng = np.random.default_rng(4)
         a = rng.standard_normal((12, 12))
         b = rng.standard_normal((12, 12))
-        counters = Counters()
+        counters = MetricsRegistry()
         summa_multiply(
             store, a, b, BlockGrid(3, 3, 3), synchronize=False, counters=counters
         )
-        assert counters.get("muls_total") == 27
+        assert counters.counter("muls_total").value() == 27
 
     def test_rectangular_grids(self, store):
         rng = np.random.default_rng(5)

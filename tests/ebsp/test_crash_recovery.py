@@ -135,6 +135,48 @@ class TestCheckpointResume:
         assert resumed.get_table("state").get(0) == 8
         resumed.close()
 
+    def test_resume_restores_counters_and_maxima(self, tmp_path):
+        """A checkpoint carries counters (re-added on resume) apart from
+        high-water marks (re-applied with ``record_max``): the resumed
+        run reports what an uninterrupted one does."""
+        clean_store = LocalKVStore(default_n_parts=4)
+        clean = run_job(clean_store, _chain_job(8), fault_tolerance=True)
+        clean_store.close()
+
+        store = LocalKVStore(default_n_parts=4)
+        flag = {"hit": False}
+        with pytest.raises(ComputeError, match="driver died"):
+            run_job(
+                store,
+                _chain_job(8, crash_at=4, crash_flag=flag),
+                fault_tolerance=True,
+                checkpoint_interval=2,
+                checkpoint_dir=str(tmp_path),
+            )
+        store.close()
+        resumed_store = LocalKVStore(default_n_parts=4)
+        resumed = run_job(
+            resumed_store,
+            _chain_job(8),
+            fault_tolerance=True,
+            checkpoint_interval=2,
+            checkpoint_dir=str(tmp_path),
+            resume=True,
+        )
+        resumed_store.close()
+
+        assert resumed.resumed_from_step == 4
+        for name in ("compute_invocations", "messages_sent", "part_steps_run", "barriers"):
+            assert resumed.counters[name] == clean.counters[name], name
+        maxima = {
+            name: entry["value"]
+            for name, entry in resumed.metrics.items()
+            if entry["type"] == "gauge" and "." not in name
+        }
+        assert maxima["spill_in_flight_hwm"] > 0
+        for name, value in maxima.items():
+            assert value <= clean.counters[name], name
+
     def test_checkpoints_cleared_after_completion(self, tmp_path):
         store = LocalKVStore(default_n_parts=4)
         result = run_job(

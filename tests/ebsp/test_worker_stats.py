@@ -8,9 +8,9 @@ import pytest
 
 from repro.ebsp.loaders import MessageListLoader
 from repro.ebsp.properties import JobProperties
-from repro.ebsp.results import Counters
 from repro.ebsp.runner import run_job
 from repro.kvstore.partitioned import PartitionedKVStore
+from repro.obs.metrics import MetricsRegistry
 
 from tests.ebsp.jobs import TestJob
 
@@ -65,32 +65,31 @@ def test_async_result_carries_worker_stats(store):
 
 
 def test_counters_are_thread_safe():
-    """Regression: part-steps on many workers hammer one Counters
-    instance; concurrent ``add``/``record_max`` must lose no updates
-    (the facade's lazy metric creation races too — same name from many
-    threads must land on one counter)."""
-    counters = Counters()
+    """Regression: part-steps on many workers hammer one job's
+    MetricsRegistry; concurrent ``add``/``record_max`` must lose no
+    updates (get-or-create races too — same name from many threads
+    must land on one instrument)."""
+    registry = MetricsRegistry()
     n_threads, per_thread = 8, 2_000
     barrier = threading.Barrier(n_threads)
 
     def worker(index):
         barrier.wait()
         for i in range(per_thread):
-            counters.add("messages_sent")
-            counters.add("bytes", 3)
-            counters.record_max("hwm", index * per_thread + i)
+            registry.counter("messages_sent").add()
+            registry.counter("bytes").add(3)
+            registry.gauge("hwm").record_max(index * per_thread + i)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert counters.get("messages_sent") == n_threads * per_thread
-    assert counters.get("bytes") == 3 * n_threads * per_thread
-    assert counters.get("hwm") == n_threads * per_thread - 1
-    snapshot = counters.snapshot()
-    assert snapshot["messages_sent"] == n_threads * per_thread
-    assert snapshot["hwm"] == n_threads * per_thread - 1
+    assert registry.snapshot() == {
+        "messages_sent": n_threads * per_thread,
+        "bytes": 3 * n_threads * per_thread,
+        "hwm": n_threads * per_thread - 1,
+    }
 
 
 def test_stats_are_per_job_deltas(store):

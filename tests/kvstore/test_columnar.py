@@ -1,122 +1,83 @@
-"""ColumnarTable: typed column batches over the narrow Table SPI.
+"""Key and value columns through the narrow Table SPI.
 
-The view must work identically over every store implementation — it
-only ever calls ``put_many``/``get_many``/``delete_many``/enumeration,
-so the ``store`` fixture is the whole conformance argument.
+The columnar plane hands a part-step's states to the store as columns:
+a numpy key column and its value column, converted with ``tolist()``
+and written with one ``put_many`` (``BatchComputeContext.write_states``),
+read back with ``get_many`` and removed with ``delete_many``, each
+batch routed by ``part_of_many``.  Rows stay plain scalars or tuples,
+so per-key readers of the same table keep working.  The ``store``
+fixture runs every case on all four stores.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.kvstore import ColumnSchema, ColumnarTable
-from repro.kvstore.api import TableSpec
-
-SINGLE = ColumnSchema(key_dtype="int64", fields=(("rank", "float64"),))
-MULTI = ColumnSchema(
-    key_dtype="int64", fields=(("rank", "float64"), ("degree", "int64"))
-)
+from repro.kvstore.api import FnPairConsumer, TableSpec
 
 
-def _view(store, schema, name="cols"):
-    return ColumnarTable(store.create_table(TableSpec(name=name, n_parts=4)), schema)
+def _table(store, name="cols"):
+    return store.create_table(TableSpec(name=name, n_parts=4))
 
 
-class TestColumnSchema:
-    def test_requires_a_field(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ColumnSchema(key_dtype="int64", fields=())
-
-    def test_rejects_duplicate_field_names(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ColumnSchema(
-                key_dtype="int64", fields=(("x", "float64"), ("x", "int64"))
-            )
-
-    def test_field_names_in_order(self):
-        assert MULTI.field_names == ["rank", "degree"]
+def _put_columns(table, keys, *columns):
+    """Write one row per key: a bare scalar for one column, else a tuple."""
+    lists = [np.asarray(column).tolist() for column in columns]
+    rows = lists[0] if len(lists) == 1 else list(zip(*lists))
+    table.put_many(zip(np.asarray(keys).tolist(), rows))
 
 
 class TestSingleField:
     def test_put_get_roundtrip(self, store):
-        view = _view(store, SINGLE)
+        table = _table(store)
         keys = np.arange(32, dtype=np.int64)
-        view.put_batch(keys, keys * 0.5)
-        batch = view.get_batch(keys)
-        assert batch.keys.dtype == np.int64
-        assert batch["rank"].dtype == np.float64
-        np.testing.assert_array_equal(batch["rank"], keys * 0.5)
+        _put_columns(table, keys, keys * 0.5)
+        values = table.get_many(keys.tolist())
+        np.testing.assert_array_equal(
+            np.asarray([values[k] for k in keys.tolist()]), keys * 0.5
+        )
 
     def test_rows_store_bare_scalars(self, store):
-        view = _view(store, SINGLE)
-        view.put_batch([3, 4], [0.25, 0.75])
+        table = _table(store)
+        _put_columns(table, [3, 4], np.asarray([0.25, 0.75]))
         # per-key readers of the same table see plain floats, not tuples
-        assert view.table.get(3) == 0.25
-        assert isinstance(view.table.get(4), float)
-
-    def test_get_batch_default_fills_holes(self, store):
-        view = _view(store, SINGLE)
-        view.put_batch([1], [9.0])
-        batch = view.get_batch([1, 2], default=-1.0)
-        assert batch["rank"].tolist() == [9.0, -1.0]
-
-    def test_get_batch_absent_key_raises_without_default(self, store):
-        view = _view(store, SINGLE)
-        view.put_batch([1], [9.0])
-        with pytest.raises(KeyError, match="99"):
-            view.get_batch([1, 99])
+        assert table.get(3) == 0.25
+        assert type(table.get(4)) is float
 
     def test_delete_batch(self, store):
-        view = _view(store, SINGLE)
+        table = _table(store)
         keys = np.arange(8, dtype=np.int64)
-        view.put_batch(keys, np.ones(8))
-        view.delete_batch(keys[:4])
-        assert view.size() == 4
-        assert sorted(view.read_all().keys.tolist()) == [4, 5, 6, 7]
+        _put_columns(table, keys, np.ones(8))
+        table.delete_many(keys[:4].tolist())
+        assert table.size() == 4
+        assert sorted(key for key, _ in table.items()) == [4, 5, 6, 7]
 
 
 class TestMultiField:
     def test_roundtrip_and_tuple_storage(self, store):
-        view = _view(store, MULTI)
+        table = _table(store)
         keys = np.asarray([5, 2, 9], dtype=np.int64)
-        view.put_batch(keys, [0.1, 0.2, 0.3], [10, 20, 30])
-        assert view.table.get(2) == (0.2, 20)
-        batch = view.get_batch([2, 5, 9])
-        assert batch["rank"].tolist() == [0.2, 0.1, 0.3]
-        assert batch["degree"].tolist() == [20, 10, 30]
-        assert list(batch.rows()) == [(2, 0.2, 20), (5, 0.1, 10), (9, 0.3, 30)]
-
-    def test_column_count_mismatch_raises(self, store):
-        view = _view(store, MULTI)
-        with pytest.raises(ValueError, match="2 fields"):
-            view.put_batch([1], [0.5])
-
-    def test_column_length_mismatch_raises(self, store):
-        view = _view(store, MULTI)
-        with pytest.raises(ValueError, match="degree"):
-            view.put_batch([1, 2], [0.5, 0.6], [7])
+        _put_columns(table, keys, [0.1, 0.2, 0.3], [10, 20, 30])
+        assert table.get(2) == (0.2, 20)
+        assert table.get_many([2, 5, 9]) == {2: (0.2, 20), 5: (0.1, 10), 9: (0.3, 30)}
 
 
 class TestPartReads:
-    def test_read_all_sorted_ascending(self, store):
-        view = _view(store, SINGLE)
-        keys = np.asarray([9, 1, 5, 3], dtype=np.int64)
-        view.put_batch(keys, keys.astype(np.float64))
-        batch = view.read_all()
-        assert batch.keys.tolist() == [1, 3, 5, 9]
-        assert batch["rank"].tolist() == [1.0, 3.0, 5.0, 9.0]
-
     def test_read_part_covers_the_table(self, store):
-        view = _view(store, SINGLE)
+        table = _table(store)
         keys = np.arange(40, dtype=np.int64)
-        view.put_batch(keys, keys.astype(np.float64))
+        _put_columns(table, keys, keys.astype(np.float64))
         seen = []
-        for part in range(view.n_parts):
-            batch = view.read_part(part)
-            assert batch.keys.tolist() == sorted(batch.keys.tolist())
-            assert (view.part_of_many(batch.keys) == part).all()
-            seen.extend(batch.keys.tolist())
+        for part in range(table.n_parts):
+            pairs = []
+            table.enumerate_pairs(
+                FnPairConsumer(lambda k, v: pairs.append((k, v))), parts=[part]
+            )
+            part_keys = np.asarray([k for k, _ in pairs], dtype=np.int64)
+            # a batch routed by part_of_many lands where its rows live
+            assert (table.part_of_many(part_keys) == part).all()
+            assert all(value == float(key) for key, value in pairs)
+            seen.extend(part_keys.tolist())
         assert sorted(seen) == keys.tolist()
 
 

@@ -93,63 +93,39 @@ class TestCopyStore:
         reopened.close()
 
 
-class TestColumnarCopy:
-    """Migration must carry tables that back a columnar view: rows are
-    plain scalars/tuples underneath, so a copy plus a fresh view over
-    the destination reads back identical batches."""
+class TestTupleRowCopy:
+    """Rows are often tuples of scalars (a vertex's rank and degree):
+    a copy carries them, and the table's part spec, unchanged."""
 
-    SCHEMA_FIELDS = (("rank", "float64"), ("degree", "int64"))
+    @staticmethod
+    def _rows(n):
+        return [(k, (k * 0.25, k % 7)) for k in range(n)]
 
-    def _make_columnar(self, store, name):
-        from repro.kvstore.columnar import ColumnSchema, ColumnarTable
-
-        table = store.create_table(TableSpec(name=name, n_parts=3))
-        schema = ColumnSchema(key_dtype="int64", fields=self.SCHEMA_FIELDS)
-        return ColumnarTable(table, schema), schema
-
-    def test_copy_table_preserves_batches(self):
-        import numpy as np
-
-        from repro.kvstore.columnar import ColumnarTable
-
+    def test_copy_table_preserves_tuple_rows(self):
         source = LocalKVStore(default_n_parts=3)
-        view, schema = self._make_columnar(source, "cols")
-        keys = np.arange(30, dtype=np.int64)
-        view.put_batch(keys, keys * 0.25, keys % 7)
+        original = source.create_table(TableSpec(name="rows", n_parts=3))
+        original.put_many(self._rows(30))
 
         destination = LocalKVStore()
-        copied = copy_table(source, destination, "cols")
-        assert copied == 30
-        assert verify_copy(source, destination, "cols")
+        assert copy_table(source, destination, "rows") == 30
+        assert verify_copy(source, destination, "rows")
+        copied = destination.get_table("rows")
+        assert copied.n_parts == 3
+        keys = range(30)
+        assert copied.get_many(keys) == dict(self._rows(30))
+        assert [copied.part_of(k) for k in keys] == [original.part_of(k) for k in keys]
 
-        mirror = ColumnarTable(destination.get_table("cols"), schema)
-        batch = mirror.read_all()
-        assert np.array_equal(batch.keys, keys)
-        assert np.array_equal(batch["rank"], keys * 0.25)
-        assert np.array_equal(batch["degree"], keys % 7)
-        assert batch["rank"].dtype == np.float64
-        assert batch["degree"].dtype == np.int64
-
-    def test_copy_store_carries_columnar_but_skips_private(self):
-        import numpy as np
-
-        from repro.kvstore.columnar import ColumnarTable
-
+    def test_copy_store_carries_tuple_rows_but_skips_private(self):
         source = LocalKVStore(default_n_parts=3)
-        view, schema = self._make_columnar(source, "cols")
-        view.put_batch(np.arange(10, dtype=np.int64), np.ones(10), np.zeros(10, dtype=np.int64))
+        source.create_table(TableSpec(name="rows", n_parts=3)).put_many(self._rows(10))
         source.create_table(TableSpec(name="__scratch", n_parts=2)).put("x", 1)
 
         destination = LocalKVStore()
         report = copy_store(source, destination)
-        assert "cols" in report.tables_copied
+        assert "rows" in report.tables_copied
         assert "__scratch" in report.tables_skipped
         assert not destination.has_table("__scratch")
-
-        mirror = ColumnarTable(destination.get_table("cols"), schema)
-        part = mirror.read_part(0)
-        assert np.array_equal(part.keys, np.arange(0, 10, 3, dtype=np.int64))
-        assert np.array_equal(part["rank"], np.ones(4))
+        assert dict(destination.get_table("rows").items()) == dict(self._rows(10))
 
 
 class TestVerify:

@@ -84,8 +84,8 @@ class TestReplication:
 class TestPromotionDrain:
     """Writes dispatched without waiting, then a failure and a promotion
     with nothing in between, must be on the promoted backup — however
-    the runtime schedules them (promotion drains the shard's worker
-    first)."""
+    the runtime schedules them (the replicated table applies async
+    writes on the caller's thread, so none is still queued)."""
 
     @pytest.mark.parametrize("runtime", ["threaded", "inline"])
     def test_async_writes_survive_immediate_promotion(self, runtime):

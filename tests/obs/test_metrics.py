@@ -1,4 +1,5 @@
-"""The metrics registry and the legacy facades plumbed onto it."""
+"""The metrics registry, a job's counters view of it, and the serde
+statistics facade plumbed onto it."""
 
 from __future__ import annotations
 
@@ -6,9 +7,13 @@ import threading
 
 import pytest
 
-from repro.ebsp.results import Counters
+from repro.ebsp.loaders import MessageListLoader
+from repro.ebsp.runner import run_job
+from repro.kvstore.partitioned import PartitionedKVStore
 from repro.obs.metrics import MetricsRegistry
 from repro.serde import SerdeStats
+
+from tests.ebsp.jobs import TestJob
 
 
 class TestRegistry:
@@ -90,25 +95,26 @@ class TestRegistry:
         assert registry.counter("hot").value() == n_threads * per_thread
 
 
-class TestCountersFacade:
-    def test_snapshot_only_shows_facade_names(self):
-        registry = MetricsRegistry()
-        registry.counter("serde.marshalled_bytes").add(100)
-        counters = Counters(registry)
-        counters.add("messages_sent", 3)
-        assert counters.snapshot() == {"messages_sent": 3}
-        # ... while the registry holds both
-        assert set(registry.names()) == {"serde.marshalled_bytes", "messages_sent"}
+class TestJobCounters:
+    def test_counters_are_the_undotted_instruments(self):
+        def fn(ctx):
+            ctx.write_state(0, ctx.key)
+            return False
 
-    def test_record_max_keeps_high_water_mark(self):
-        counters = Counters()
-        counters.record_max("hwm", 4)
-        counters.record_max("hwm", 2)
-        assert counters.get("hwm") == 4
-        assert counters.snapshot()["hwm"] == 4
-
-    def test_get_of_unknown_is_zero(self):
-        assert Counters().get("never") == 0
+        job = TestJob(
+            fn, state_tables=["s"], loaders=[MessageListLoader([(i, i) for i in range(8)])]
+        )
+        with PartitionedKVStore(n_partitions=2, runtime="inline") as store:
+            result = run_job(store, job, synchronize=True)
+        assert result.counters["compute_invocations"] == 8
+        assert result.counters["barriers"] == result.steps
+        assert result.counters["store_marshalled_bytes"] > 0
+        # per-layer instruments stay in the dump only
+        assert "engine.compute_seconds" in result.metrics
+        assert not [name for name in result.counters if "." in name]
+        for name, value in result.counters.items():
+            assert result.metrics[name]["value"] == value
+        assert result.metrics["spill_in_flight_hwm"]["type"] == "gauge"
 
 
 class TestSerdeStatsFacade:

@@ -79,12 +79,15 @@ class TestOrdering:
             future.result()
         assert order == list(range(50))
 
-    def test_drain_worker_applies_queued_tasks(self, runtime):
+    def test_submit_to_worker_runs_after_queued_tasks(self, runtime):
+        # direct addressing is FIFO with the worker's short lane: a
+        # table drop's eviction reaches a part after the writes queued
+        # on it before the drop
         applied = []
         for i in range(10):
             runtime.submit(0, applied.append, i)
-        runtime.drain_worker(0)
-        assert applied == list(range(10))
+        runtime.submit_to_worker(runtime.worker_of(0), applied.append, "last").result()
+        assert applied == list(range(10)) + ["last"]
 
     def test_long_ops_serialize_per_worker(self, runtime):
         active = []
