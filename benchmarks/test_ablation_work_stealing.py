@@ -5,9 +5,11 @@ for example to balance load."  The workload here is deliberately
 skewed: a seed component fans 200 single-message tasks out to keys that
 all hash to ONE part, and each task carries a simulated 2 ms of work
 (a GIL-releasing sleep, so workers genuinely overlap).  Without
-stealing one worker grinds through the pile alone; with stealing
-(enabled automatically by one-msg ∧ no-continue ∧ rare-state ∧
-no-ss-order) its idle peers drain it.
+stealing one drain at a time works through the pile on the part's own
+lane; with stealing (enabled automatically by one-msg ∧ no-continue ∧
+rare-state ∧ no-ss-order) drains on idle workers' lanes share it.  The
+store is threaded: on the inline runtime drains run one after another
+by design, so there is nothing to steal.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.ebsp.async_engine import AsyncEngine
 from repro.ebsp.job import Compute, ComputeContext, Job
 from repro.ebsp.loaders import MessageListLoader
 from repro.ebsp.properties import JobProperties
-from repro.kvstore.local import LocalKVStore
+from repro.kvstore.partitioned import PartitionedKVStore
 
 from benchmarks.conftest import bench_rounds
 
@@ -64,11 +66,9 @@ def _run(work_stealing: bool) -> float:
     properties = JobProperties(
         one_msg=True, no_continue=True, rare_state=True, no_ss_order=True
     )
-    store = LocalKVStore(default_n_parts=N_PARTS)
+    store = PartitionedKVStore(N_PARTS, runtime="threaded")
     try:
-        engine = AsyncEngine(
-            store, _SkewedJob(properties), work_stealing=work_stealing, poll_timeout=0.002
-        )
+        engine = AsyncEngine(store, _SkewedJob(properties), work_stealing=work_stealing)
         start = time.monotonic()
         result = engine.run()
         elapsed = time.monotonic() - start

@@ -8,6 +8,13 @@ sooner" once the unnecessary global synchronizations are removed.
 We run the same job over the WXS-analog store.  The shape assertions:
 no-sync is strictly faster, and the speedup does not exceed the 7/3
 bound by more than measurement noise.
+
+Each mode gets :data:`WARMUP_ROUNDS` untimed rounds first.  In a fresh
+process the first one or two synchronized runs — nine part-steps each
+doing a real block multiply at once through multithreaded OpenBLAS —
+sometimes take twice as long (0.70–0.86 s instead of 0.40 s on a 2-core
+box; never with ``OPENBLAS_NUM_THREADS=1``, never past the second run),
+which alone pushed the measured ratio over the bound.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from repro.kvstore.replicated import ReplicatedKVStore
 from benchmarks.conftest import bench_rounds
 
 GRID = BlockGrid(3, 3, 3)
+WARMUP_ROUNDS = 2
 _MEANS: dict = {}
 
 
@@ -35,6 +43,7 @@ def test_summa_synchronized(benchmark, matrix_size):
         lambda: time_summa(matrix_size, synchronize=True, grid=GRID),
         rounds=bench_rounds(),
         iterations=1,
+        warmup_rounds=WARMUP_ROUNDS,
     )
     _MEANS["sync"] = benchmark.stats.stats.mean
 
@@ -44,6 +53,7 @@ def test_summa_no_synchronization(benchmark, matrix_size):
         lambda: time_summa(matrix_size, synchronize=False, grid=GRID),
         rounds=bench_rounds(),
         iterations=1,
+        warmup_rounds=WARMUP_ROUNDS,
     )
     _MEANS["nosync"] = benchmark.stats.stats.mean
     if "sync" in _MEANS:

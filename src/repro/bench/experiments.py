@@ -168,7 +168,6 @@ def time_summa(
     a = rng.standard_normal((matrix_size, matrix_size))
     b = rng.standard_normal((matrix_size, matrix_size))
     store = ReplicatedKVStore(n_shards=grid.m_rows * grid.n_cols, replication=0)
-    kwargs = {} if synchronize else {"poll_timeout": 0.005}
     try:
         start = time.monotonic()
         c, _ = summa_multiply(
@@ -178,7 +177,6 @@ def time_summa(
             grid,
             synchronize=synchronize,
             simulated_multiply_seconds=simulated_multiply_seconds,
-            **kwargs,
         )
         elapsed = time.monotonic() - start
         assert np.allclose(c, a @ b)

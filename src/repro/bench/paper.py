@@ -153,7 +153,7 @@ def export_traces(trace_dir: str, scale: float, only: str) -> None:
         store = ReplicatedKVStore(n_shards=grid.m_rows * grid.n_cols, replication=0)
         try:
             _, result = summa_multiply(
-                store, a, b, grid, synchronize=False, poll_timeout=0.005, trace=True
+                store, a, b, grid, synchronize=False, trace=True
             )
             written.append(write_trace(trace_dir, "summa_nosync", result))
         finally:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import pickle
 import time
-from itertools import repeat
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -136,92 +135,23 @@ class _LoaderCtx(StagedLoaderContext):
 class _StepContext(FrameContext):
     """One part's compute context for one step; rebound per component.
 
-    The frame's per-component write-behind buffer feeds a part-step
-    *write-back cache* at the end of the invocation: reads hit the cache
-    after first touch, and every dirtied state table commits as one
-    batched ``put_many`` (plus one ``delete_many``) at the part-step
-    commit point — which also gives fault tolerance its deferral for
-    free, since nothing reaches a state table before
-    :meth:`commit_state`.
+    Reads and writes go through the frame's write-back cache, which
+    commits at the part-step commit point (:meth:`commit_state`).
     """
 
     def __init__(self, engine: "SyncEngine", step: int, writer: SpillWriter):
         super().__init__(engine)
         self._step_num = step
         self._writer = writer
-        # part-step write-back cache: (tab_idx, key) -> value/_ABSENT;
-        # holds both read-through results and staged writes
-        self._cache: Dict[Tuple[int, Any], Any] = {}
-        # staged writes awaiting commit: tab_idx -> {key: value/_ABSENT}
-        self._dirty_tabs: Dict[int, Dict[Any, Any]] = {}
         self.agg_partials: Dict[str, Any] = {
             name: agg.create() for name, agg in engine._aggs.items()
         }
         self.direct_outputs: List[Tuple[Any, Any]] = []
 
-    # -- engine-side lifecycle -------------------------------------------------
-    def _finish_invocation(self) -> None:
-        """Stage this component's state buffer into the write-back cache."""
-        for tab_idx in self._dirty:
-            self._stage(tab_idx, self._key, self._state_buffer[tab_idx])
-
-    def _stage(self, tab_idx: int, key: Any, value: Any) -> None:
-        self._cache[(tab_idx, key)] = value
-        self._dirty_tabs.setdefault(tab_idx, {})[key] = value
-
-    def _stage_many(self, tab_idx: int, keys: List[Any], values: List[Any]) -> None:
-        """:meth:`_stage` per aligned ``(key, value)``, in order."""
-        self._cache.update(zip(zip(repeat(tab_idx), keys), values))
-        self._dirty_tabs.setdefault(tab_idx, {}).update(zip(keys, values))
-
-    def commit_state(self) -> Tuple[int, int]:
-        """Flush staged writes: one batched put (and one batched delete)
-        per dirtied state table.  Returns (batches, records)."""
-        batches = records = 0
-        for tab_idx, pending in self._dirty_tabs.items():
-            puts = [
-                (key, value)
-                for key, value in pending.items()
-                if value is not _StepContext._ABSENT
-            ]
-            deletes = [
-                key for key, value in pending.items()
-                if value is _StepContext._ABSENT
-            ]
-            table = self._engine._state_tables[tab_idx]
-            if puts:
-                table.put_many(puts)
-                batches += 1
-                records += len(puts)
-            if deletes:
-                table.delete_many(deletes)
-                batches += 1
-                records += len(deletes)
-        self._dirty_tabs = {}
-        return batches, records
-
     # -- ComputeContext API ------------------------------------------------------
     @property
     def step_num(self) -> int:
         return self._step_num
-
-    def read_state(self, tab_idx: int) -> Any:
-        self._check_tab(tab_idx)
-        if tab_idx in self._state_buffer:
-            value = self._state_buffer[tab_idx]
-            return None if value is _StepContext._ABSENT else value
-        cache_key = (tab_idx, self._key)
-        try:
-            value = self._cache[cache_key]
-        except KeyError:
-            value = self._engine._state_tables[tab_idx].get(self._key)
-            # negative results cache too (as _ABSENT), so a re-read of a
-            # missing key stays local to the part-step
-            self._cache[cache_key] = (
-                _StepContext._ABSENT if value is None else value
-            )
-            return value
-        return None if value is _StepContext._ABSENT else value
 
     def create_state(self, tab_idx: int, key: Any, state: Any) -> None:
         self._check_tab(tab_idx)
@@ -707,6 +637,25 @@ class _NoCollectShape:
         )
 
 
+#: Engine attributes a shipped part-step does without; a worker's copy
+#: holds them as ``None``.
+_PARENT_ONLY = (
+    "_store",
+    "_job",
+    "_tracer",
+    "_metrics",
+    "_direct_exporter",
+    "_runtime",
+    "_runtime_baseline",
+    "_stats_baseline",
+    "_spilled_per_step",
+    "_part_cache",
+    "_timeline",
+    "_checkpoints",
+    "_on_step",
+)
+
+
 class SyncEngine(JobFrame):
     """Executes one job, synchronously, over a given store."""
 
@@ -838,30 +787,17 @@ class SyncEngine(JobFrame):
         """The engine's *ship state*: what a part-step needs in a worker.
 
         Parent-only machinery (store handle, job object, exporter,
-        runtime baselines, tracer, accumulators) is stripped; tables
-        travel as child-side references that resolve against the worker
-        process's resident parts.
+        runtime baselines, tracer, accumulators) is left out — not even
+        its attribute names travel; tables go as child-side references
+        that resolve against the worker process's resident parts.
         """
         state = self.__dict__.copy()
-        for name in (
-            "_store",
-            "_job",
-            "_tracer",
-            "_metrics",
-            "_direct_exporter",
-            "_runtime",
-            "_runtime_baseline",
-            "_stats_baseline",
-            "_spilled_per_step",
-            "_part_cache",
-            "_timeline",
-            "_checkpoints",
-            "_on_step",
-        ):
-            state[name] = None
+        for name in _PARENT_ONLY:
+            state.pop(name, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(dict.fromkeys(_PARENT_ONLY))
         self.__dict__.update(state)
         # unpickling happens inside the worker's tracer activation, so
         # the child copy's spans land in the lane being replayed

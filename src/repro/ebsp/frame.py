@@ -17,8 +17,8 @@ not depend on *how* the computes are driven is written once, here:
   counters, the :class:`JobResult`, trace export, the store's job-stats
   and trace tables, state exporters, ``on_complete``
   (:meth:`JobFrame._finish_run`);
-* the per-invocation state buffer of every compute context
-  (:class:`FrameContext`).
+* the per-invocation state buffer and the write-back cache of every
+  compute context (:class:`FrameContext`).
 
 An engine subclasses :class:`JobFrame` and keeps its driving loop.  The
 frame stores no bound method on ``self``: an engine in a reference cycle
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import JobSpecError
 from repro.ebsp.job import ComputeContext, Job
@@ -55,9 +55,13 @@ class FrameContext(ComputeContext):
 
     Rebound per component by :meth:`_bind`.  State writes collect in a
     per-invocation buffer (``tab_idx → value``, :attr:`_ABSENT` marking
-    a delete) that the engine's own ``_finish_invocation`` hands on;
-    ``read_state`` is the engine's too, since each reads through a
-    different layer.
+    a delete); :meth:`_finish_invocation` stages it into a *write-back
+    cache* that lives as long as the context — one part-step of the
+    synchronous engine, one drain of the no-sync engine.  Reads hit the
+    cache after first touch, and every dirtied state table commits as
+    one batched ``put_many`` (plus one ``delete_many``) in
+    :meth:`commit_state` — which also gives fault tolerance its
+    deferral for free, since nothing reaches a state table before it.
     """
 
     _ABSENT = object()
@@ -69,6 +73,11 @@ class FrameContext(ComputeContext):
         self._state_buffer: Dict[int, Any] = {}
         self._dirty: set = set()
         self.invocations = 0
+        # write-back cache: (tab_idx, key) -> value/_ABSENT; holds both
+        # read-through results and staged writes
+        self._cache: Dict[Tuple[int, Any], Any] = {}
+        # staged writes awaiting commit: tab_idx -> {key: value/_ABSENT}
+        self._dirty_tabs: Dict[int, Dict[Any, Any]] = {}
 
     def _bind(self, key: Any, messages: List[Any]) -> None:
         self._key = key
@@ -76,6 +85,46 @@ class FrameContext(ComputeContext):
         self._state_buffer = {}
         self._dirty = set()
         self.invocations += 1
+
+    def _finish_invocation(self) -> None:
+        """Stage this component's state buffer into the write-back cache."""
+        for tab_idx in self._dirty:
+            self._stage(tab_idx, self._key, self._state_buffer[tab_idx])
+
+    def _stage(self, tab_idx: int, key: Any, value: Any) -> None:
+        self._cache[(tab_idx, key)] = value
+        self._dirty_tabs.setdefault(tab_idx, {})[key] = value
+
+    def _stage_many(self, tab_idx: int, keys: List[Any], values: List[Any]) -> None:
+        """:meth:`_stage` per aligned ``(key, value)``, in order."""
+        self._cache.update(zip(zip(itertools.repeat(tab_idx), keys), values))
+        self._dirty_tabs.setdefault(tab_idx, {}).update(zip(keys, values))
+
+    def commit_state(self) -> Tuple[int, int]:
+        """Flush staged writes: one batched put (and one batched delete)
+        per dirtied state table.  Returns (batches, records)."""
+        batches = records = 0
+        for tab_idx, pending in self._dirty_tabs.items():
+            puts = [
+                (key, value)
+                for key, value in pending.items()
+                if value is not FrameContext._ABSENT
+            ]
+            deletes = [
+                key for key, value in pending.items()
+                if value is FrameContext._ABSENT
+            ]
+            table = self._engine._state_tables[tab_idx]
+            if puts:
+                table.put_many(puts)
+                batches += 1
+                records += len(puts)
+            if deletes:
+                table.delete_many(deletes)
+                batches += 1
+                records += len(deletes)
+        self._dirty_tabs = {}
+        return batches, records
 
     @property
     def key(self) -> Any:
@@ -87,6 +136,22 @@ class FrameContext(ComputeContext):
                 f"state table index {tab_idx} out of range "
                 f"(job has {len(self._engine._state_tables)} state tables)"
             )
+
+    def read_state(self, tab_idx: int) -> Any:
+        self._check_tab(tab_idx)
+        if tab_idx in self._state_buffer:
+            value = self._state_buffer[tab_idx]
+            return None if value is FrameContext._ABSENT else value
+        cache_key = (tab_idx, self._key)
+        try:
+            value = self._cache[cache_key]
+        except KeyError:
+            value = self._engine._state_tables[tab_idx].get(self._key)
+            # negative results cache too (as _ABSENT), so a re-read of a
+            # missing key stays local to the context
+            self._cache[cache_key] = FrameContext._ABSENT if value is None else value
+            return value
+        return None if value is FrameContext._ABSENT else value
 
     def write_state(self, tab_idx: int, state: Any) -> None:
         self._check_tab(tab_idx)
@@ -272,7 +337,6 @@ class JobFrame:
             stats.get("busy_seconds", 0.0)
         )
         self._metrics.gauge("runtime.steals").set(stats.get("steals", 0))
-        self._metrics.gauge("runtime.gang_tasks").set(stats.get("gang_tasks", 0))
         # Crash-tolerance counters: how many workers this job lost (and
         # got back), and how many it killed for blowing a task deadline.
         if stats.get("respawns"):

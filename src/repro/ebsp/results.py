@@ -83,9 +83,8 @@ class JobResult:
 
     @property
     def runtime_tasks(self) -> int:
-        """Worker-runtime tasks (short + long + gang) this job executed."""
-        stats = self.worker_stats
-        return stats.get("tasks", 0) + stats.get("gang_tasks", 0)
+        """Worker-runtime tasks (short + long) this job executed."""
+        return self.worker_stats.get("tasks", 0)
 
     @property
     def worker_steals(self) -> int:
@@ -180,8 +179,9 @@ class JobResult:
 
         Synchronized runs report ``compute`` / ``flush`` /
         ``barrier_wait`` (worker-seconds, summed over the timeline);
-        no-sync runs report ``compute`` / ``queue_wait``.  This is what
-        the sync-vs-async and active-parts ablations compare.
+        no-sync runs report ``compute`` (worker-seconds in drains).
+        This is what the sync-vs-async and active-parts ablations
+        compare.
         """
 
         def _metric(name: str) -> float:
@@ -200,10 +200,7 @@ class JobResult:
                 "flush": _metric("engine.flush_seconds"),
                 "barrier_wait": _metric("engine.barrier_wait_seconds"),
             }
-        return {
-            "compute": _metric("engine.compute_seconds"),
-            "queue_wait": _metric("engine.queue_wait_seconds"),
-        }
+        return {"compute": _metric("engine.compute_seconds")}
 
 
 #: Cumulative per-store job counters live here so ``inspect --stats``

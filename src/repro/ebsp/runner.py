@@ -47,8 +47,8 @@ def run_job(
     engine_kwargs:
         Passed through to the chosen engine (e.g. ``max_steps``,
         ``spill_batch``, ``fault_tolerance`` for the synchronous
-        engine; ``queuing``, ``poll_timeout``, ``work_stealing`` for
-        the asynchronous one; ``trace`` and ``on_step`` for both).
+        engine; ``queuing`` and ``work_stealing`` for the
+        asynchronous one; ``trace`` and ``on_step`` for both).
     """
     plan = plan_for(job)
     use_sync = not plan.no_sync if synchronize is None else synchronize

@@ -2,18 +2,17 @@
 
 A *queue set* is placed like a given key/value table: one queue per
 part.  Messages can be put into any queue of the set from anywhere;
-mobile client code runs in each part and reads (with a timeout) from
-that part's local queue.
+the code serving a part takes that part's messages in batches
+(``take``), never blocking, and ``pending`` says how many wait.
 """
 
-from repro.messaging.api import MessageQueuing, QueueSet, QueueWorkerContext
+from repro.messaging.api import MessageQueuing, QueueSet
 from repro.messaging.local_queue import LocalMessageQueuing
 from repro.messaging.table_queue import TableMessageQueuing
 
 __all__ = [
     "MessageQueuing",
     "QueueSet",
-    "QueueWorkerContext",
     "LocalMessageQueuing",
     "TableMessageQueuing",
 ]

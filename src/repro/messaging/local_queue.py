@@ -1,150 +1,43 @@
 """Direct in-memory queue-set implementation.
 
-One deque + condition variable per part; worker gangs are dispatched
-through the shared :class:`~repro.runtime.WorkerRuntime`.  This is the
-fast path used when the store does not bring its own communication
-substrate.
+One deque per part: puts append without a lock (``deque.append`` is
+atomic), takes pop under the part's lock so concurrent takers never
+split a batch count.  This is the fast path used when the store does
+not bring its own communication substrate; messages pass by reference.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, List
 
-from repro.errors import NoSuchQueueSetError, QueueError
-from repro.messaging.api import MessageQueuing, QueueSet, QueueWorkerContext
-from repro.runtime import ThreadedRuntime, WorkerRuntime
-
-
-class _PartQueue:
-    def __init__(self) -> None:
-        self.items: deque = deque()
-        self.cond = threading.Condition()
-
-    def put(self, message: Any) -> None:
-        with self.cond:
-            self.items.append(message)
-            self.cond.notify()
-
-    def read(self, timeout: Optional[float]) -> Any:
-        with self.cond:
-            if not self.items:
-                self.cond.wait(timeout)
-            if self.items:
-                return self.items.popleft()
-            return None
-
-    def __len__(self) -> int:
-        with self.cond:
-            return len(self.items)
-
-
-class _LocalContext(QueueWorkerContext):
-    def __init__(self, queue_set: "LocalQueueSet", part_index: int):
-        self._queue_set = queue_set
-        self._part_index = part_index
-
-    @property
-    def part_index(self) -> int:
-        return self._part_index
-
-    @property
-    def n_parts(self) -> int:
-        return self._queue_set.n_parts
-
-    def read(self, timeout: Optional[float] = None) -> Any:
-        return self._queue_set._queues[self._part_index].read(timeout)
-
-    def put(self, part_index: int, message: Any) -> None:
-        self._queue_set.put(part_index, message)
+from repro.messaging.api import MessageQueuing, QueueSet
 
 
 class LocalQueueSet(QueueSet):
     """Deque-backed queue set."""
 
-    def __init__(self, name: str, n_parts: int, runtime: Optional[WorkerRuntime] = None):
-        if n_parts <= 0:
-            raise QueueError("a queue set needs at least one part")
+    def __init__(self, name: str, n_parts: int):
         super().__init__(name, n_parts)
-        self._runtime = runtime if runtime is not None else ThreadedRuntime(1, name="queuing")
-        self._owns_runtime = runtime is None
-        self._queues = [_PartQueue() for _ in range(n_parts)]
-        self._deleted = False
+        self._queues = [deque() for _ in range(n_parts)]
+        self._take_locks = [threading.Lock() for _ in range(n_parts)]
 
     def put(self, part_index: int, message: Any) -> None:
-        if self._deleted:
-            raise NoSuchQueueSetError(self.name)
-        if message is None:
-            raise QueueError("None is not a legal message payload")
-        self._queues[part_index].put(message)
+        self._check_put(message)
+        self._queues[part_index].append(message)
 
-    def run_workers(self, worker: Callable[[QueueWorkerContext], Any]) -> list:
-        if self._deleted:
-            raise NoSuchQueueSetError(self.name)
-        # Queue workers block on messages from each other, so the gang
-        # runs on dedicated threads — never on the bounded long pool.
-        return self._runtime.run_tasks(
-            [lambda i=i: worker(_LocalContext(self, i)) for i in range(self.n_parts)],
-            label=f"qs-{self.name}",
-        )
+    def take(self, part_index: int, limit: int) -> List[Any]:
+        queue = self._queues[part_index]
+        with self._take_locks[part_index]:
+            return [queue.popleft() for _ in range(min(limit, len(queue)))]
 
     def pending(self, part_index: int) -> int:
         return len(self._queues[part_index])
-
-    def steal(self, exclude: int) -> Any:
-        """Pop one message from the most loaded queue other than *exclude*.
-
-        Supports the run-anywhere optimization: an idle worker may take
-        work destined for a busy peer.  Returns ``None`` when no other
-        queue has work.  Stealing takes from the *tail*, which breaks
-        per-(sender, receiver) ordering — the engine only calls this
-        for jobs whose properties say ordering does not matter.
-        """
-        candidates = [
-            (len(q), i) for i, q in enumerate(self._queues) if i != exclude and len(q)
-        ]
-        if not candidates:
-            return None
-        _, victim = max(candidates)
-        queue = self._queues[victim]
-        with queue.cond:
-            if queue.items:
-                return queue.items.pop()
-        return None
-
-    def _mark_deleted(self) -> None:
-        self._deleted = True
-        if self._owns_runtime:
-            self._runtime.close(wait=True)
 
 
 class LocalMessageQueuing(MessageQueuing):
     """Namespace of :class:`LocalQueueSet` instances."""
 
-    def __init__(self, runtime: Optional[WorkerRuntime] = None) -> None:
-        self._runtime = runtime
-        self._sets: dict = {}
-        self._lock = threading.Lock()
-
-    def create_queue_set(self, name: str, n_parts: int) -> QueueSet:
-        with self._lock:
-            if name in self._sets:
-                raise QueueError(f"queue set {name!r} already exists")
-            queue_set = LocalQueueSet(name, n_parts, runtime=self._runtime)
-            self._sets[name] = queue_set
-            return queue_set
-
-    def delete_queue_set(self, name: str) -> None:
-        with self._lock:
-            queue_set = self._sets.pop(name, None)
-        if queue_set is None:
-            raise NoSuchQueueSetError(name)
-        queue_set._mark_deleted()
-
-    def get_queue_set(self, name: str) -> QueueSet:
-        with self._lock:
-            queue_set = self._sets.get(name)
-        if queue_set is None:
-            raise NoSuchQueueSetError(name)
-        return queue_set
+    def _new_queue_set(self, name: str, n_parts: int) -> QueueSet:
+        return LocalQueueSet(name, n_parts)

@@ -9,165 +9,85 @@ Each queue set creates one table in the backing store.  A message put
 into queue *p* is stored under key ``(p, seq)`` where ``seq`` is a
 monotonically increasing per-part sequence number, and the table's
 ``key_hash`` sends the key to part *p* — so the message physically
-lands where its reader lives.  Readers keep a cursor of the next
-sequence number and poll the table (condition variables stand in for
-the store's change notification, the "private extension").
+lands where its reader lives.  Per part, the set keeps the next
+sequence number to put and the next to take; a take reads the keys in
+between with one ``get_many`` and removes them with one
+``delete_many``.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Callable, Optional
+from typing import Any, List
 
-from repro.errors import NoSuchQueueSetError, QueueError
+from repro.errors import QueueError
 from repro.kvstore.api import KVStore, TableSpec
-from repro.messaging.api import MessageQueuing, QueueSet, QueueWorkerContext
-from repro.runtime import ThreadedRuntime
+from repro.messaging.api import MessageQueuing, QueueSet
 
 
-class _TableContext(QueueWorkerContext):
-    def __init__(self, queue_set: "TableQueueSet", part_index: int):
-        self._queue_set = queue_set
-        self._part_index = part_index
-        self._cursor = 0
-
-    @property
-    def part_index(self) -> int:
-        return self._part_index
-
-    @property
-    def n_parts(self) -> int:
-        return self._queue_set.n_parts
-
-    def read(self, timeout: Optional[float] = None) -> Any:
-        qs = self._queue_set
-        deadline = None if timeout is None else time.monotonic() + timeout
-        cond = qs._conds[self._part_index]
-        while True:
-            key = (self._part_index, self._cursor)
-            message = qs._table.get(key)
-            if message is not None:
-                qs._table.delete(key)
-                self._cursor += 1
-                return message
-            with cond:
-                # Re-check under the lock: a put may have landed between
-                # the get above and acquiring the condition.
-                if qs._table.get(key) is not None:
-                    continue
-                if deadline is None:
-                    cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    cond.wait(remaining)
-                    if time.monotonic() >= deadline and qs._table.get(key) is None:
-                        return None
-
-    def put(self, part_index: int, message: Any) -> None:
-        self._queue_set.put(part_index, message)
+def _queue_part(key: tuple) -> int:
+    """A queue key's part: its first element (module-level, so the
+    table spec pickles to worker processes)."""
+    return key[0]
 
 
 class TableQueueSet(QueueSet):
     """A queue set stored in one table of the backing K/V store."""
 
     def __init__(self, name: str, n_parts: int, store: KVStore):
-        if n_parts <= 0:
-            raise QueueError("a queue set needs at least one part")
         super().__init__(name, n_parts)
         self._store = store
         self._table_name = f"__queue__{name}"
         self._table = store.create_table(
-            TableSpec(
-                name=self._table_name,
-                n_parts=n_parts,
-                key_hash=lambda key: key[0],
-            )
+            TableSpec(name=self._table_name, n_parts=n_parts, key_hash=_queue_part)
         )
-        # Ride on the backing store's runtime when it has one; a private
-        # fallback keeps bare Table implementations working.
-        runtime = getattr(store, "runtime", None)
-        self._runtime = runtime if runtime is not None else ThreadedRuntime(1, name=f"tqs-{name}")
-        self._owns_runtime = runtime is None
-        self._seq_lock = threading.Lock()
-        self._next_seq = [0] * n_parts
-        self._conds = [threading.Condition() for _ in range(n_parts)]
-        self._deleted = False
+        # per part: a lock over its two cursors, the next sequence
+        # number to put and the next to take
+        self._locks = [threading.Lock() for _ in range(n_parts)]
+        self._next_put = [0] * n_parts
+        self._next_take = [0] * n_parts
 
     def put(self, part_index: int, message: Any) -> None:
-        if self._deleted:
-            raise NoSuchQueueSetError(self.name)
-        if message is None:
-            raise QueueError("None is not a legal message payload")
+        self._check_put(message)
         if not 0 <= part_index < self.n_parts:
             raise QueueError(f"part {part_index} out of range for queue set {self.name!r}")
-        with self._seq_lock:
-            seq = self._next_seq[part_index]
-            self._next_seq[part_index] = seq + 1
-        self._table.put((part_index, seq), message)
-        with self._conds[part_index]:
-            self._conds[part_index].notify_all()
+        with self._locks[part_index]:
+            seq = self._next_put[part_index]
+            # written before the cursor moves, so a take never reaches
+            # a sequence number whose message has not landed
+            self._table.put((part_index, seq), message)
+            self._next_put[part_index] = seq + 1
 
-    def run_workers(self, worker: Callable[[QueueWorkerContext], Any]) -> list:
-        if self._deleted:
-            raise NoSuchQueueSetError(self.name)
-        # Queue workers block on messages from each other, so the gang
-        # runs on dedicated threads — never on the bounded long pool.
-        return self._runtime.run_tasks(
-            [lambda i=i: worker(_TableContext(self, i)) for i in range(self.n_parts)],
-            label=f"tqs-{self.name}",
-        )
+    def take(self, part_index: int, limit: int) -> List[Any]:
+        with self._locks[part_index]:
+            first = self._next_take[part_index]
+            last = min(self._next_put[part_index], first + limit)
+            if first == last:
+                return []
+            keys = [(part_index, seq) for seq in range(first, last)]
+            found = self._table.get_many(keys)
+            self._table.delete_many(keys)
+            self._next_take[part_index] = last
+        return [found[key] for key in keys]
 
     def pending(self, part_index: int) -> int:
-        with self._seq_lock:
-            upper = self._next_seq[part_index]
-        count = 0
-        for seq in range(upper):
-            if self._table.get((part_index, seq)) is not None:
-                count += 1
-        return count
+        with self._locks[part_index]:
+            return self._next_put[part_index] - self._next_take[part_index]
 
     def _drop(self) -> None:
-        self._deleted = True
+        super()._drop()
         try:
             self._store.drop_table(self._table_name)
         except Exception:
             pass
-        for cond in self._conds:
-            with cond:
-                cond.notify_all()
-        if self._owns_runtime:
-            self._runtime.close(wait=True)
 
 
 class TableMessageQueuing(MessageQueuing):
     """Queue sets layered on an arbitrary :class:`KVStore`."""
 
     def __init__(self, store: KVStore):
+        super().__init__()
         self._store = store
-        self._sets: dict = {}
-        self._lock = threading.Lock()
 
-    def create_queue_set(self, name: str, n_parts: int) -> QueueSet:
-        with self._lock:
-            if name in self._sets:
-                raise QueueError(f"queue set {name!r} already exists")
-            queue_set = TableQueueSet(name, n_parts, self._store)
-            self._sets[name] = queue_set
-            return queue_set
-
-    def delete_queue_set(self, name: str) -> None:
-        with self._lock:
-            queue_set = self._sets.pop(name, None)
-        if queue_set is None:
-            raise NoSuchQueueSetError(name)
-        queue_set._drop()
-
-    def get_queue_set(self, name: str) -> QueueSet:
-        with self._lock:
-            queue_set = self._sets.get(name)
-        if queue_set is None:
-            raise NoSuchQueueSetError(name)
-        return queue_set
+    def _new_queue_set(self, name: str, n_parts: int) -> QueueSet:
+        return TableQueueSet(name, n_parts, self._store)

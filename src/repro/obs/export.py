@@ -5,7 +5,7 @@ flavor Perfetto's UI at https://ui.perfetto.dev opens directly): one
 process, one numbered thread ("lane") per tracer lane, spans as ``X``
 (complete) events with microsecond timestamps.  Lane labels are
 attached as ``thread_name`` metadata events and ordered driver →
-workers → rpc lanes → gangs via ``thread_sort_index``.
+workers → rpc lanes → any other via ``thread_sort_index``.
 
 :func:`validate_chrome_trace` is the schema check the tests and the CI
 smoke step run against an exported document: required keys, numeric
@@ -25,7 +25,7 @@ _US = 1_000_000.0
 
 
 def _lane_sort_key(lane: str) -> Tuple[int, int, str]:
-    """Deterministic lane ordering: driver, workers, rpc lanes, gangs."""
+    """Deterministic lane ordering: driver, workers, rpc lanes, others."""
 
     def _index(label: str) -> int:
         match = re.search(r"(\d+)$", label)

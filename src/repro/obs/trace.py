@@ -22,14 +22,13 @@ strings resolved per *executing thread*:
 - ``driver`` — the engine's own thread (supersteps, barriers,
   aggregation);
 - ``worker-<i>`` — runtime worker *i*'s compute track (part-steps,
-  long operations, and the store requests they issue);
+  no-sync drains, long operations, and the store requests they issue);
 - ``rpc-<i>`` — runtime worker *i*'s short-op service lane (the
-  request/response table operations it executes for remote callers);
-- ``qs-…-<i>`` — gang tasks (the no-sync engine's queue-set workers).
+  request/response table operations it executes for remote callers).
 
 Each lane is written to by at most one thread at a time (lane threads
 are single threads; long operations are serialized one-at-a-time per
-worker; gang tasks own their thread), so spans on a lane always nest
+worker), so spans on a lane always nest
 properly — the invariant the Perfetto exporter and the trace-schema
 tests rely on.
 

@@ -35,13 +35,6 @@ Short vs. long tasks
     worker (the paper's "one at a time" long-op thread), and never
     block a worker's short lane.
 
-Gangs
-    :meth:`WorkerRuntime.run_tasks` dispatches a gang of long-lived
-    cooperating tasks (queue-set workers) on dedicated threads and
-    joins them.  Gang tasks may block on each other's messages, so they
-    always get real threads — even under the inline runtime, whose
-    determinism applies to lane and long-op execution.
-
 Lifecycle
     :meth:`WorkerRuntime.close` is drain-then-stop: no new work is
     accepted, everything already submitted runs to completion, worker
@@ -59,11 +52,8 @@ from __future__ import annotations
 
 import abc
 import threading
-import time
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
-
-from repro.obs.trace import get_tracer
+from typing import Any, Callable, Dict, Optional, Union
 
 
 class RuntimeClosedError(RuntimeError):
@@ -87,8 +77,8 @@ class _WorkerCounters:
     are written only by the worker's lane thread, ``long_tasks``/
     ``long_busy_seconds`` only by the (per-worker serialized) long-op
     chain.  ``max_queue_depth`` is a best-effort high-water mark updated
-    by submitters; ``steals`` can have concurrent writers (gang threads
-    sharing a worker) and keeps a lock — steals are rare, submits are not.
+    by submitters; ``steals`` is written by whichever thread records a
+    steal and keeps a lock — steals are rare, submits are not.
     """
 
     __slots__ = (
@@ -164,9 +154,6 @@ class WorkerRuntime(abc.ABC):
         # driving a store's runtime) cannot confuse each other.
         self._tls = threading.local()
         self._counters = [_WorkerCounters(i) for i in range(n_workers)]
-        self._gang_lock = threading.Lock()
-        self._gang_tasks = 0
-        self._gang_busy_seconds = 0.0
         self._closed = False
 
     # -- placement ---------------------------------------------------------
@@ -200,54 +187,6 @@ class WorkerRuntime(abc.ABC):
         dropped table's resident parts).
         """
 
-    def run_tasks(self, fns: Sequence[Callable[[], Any]], label: str = "gang") -> List[Any]:
-        """Run a gang of cooperating tasks on dedicated threads; gather.
-
-        Results are returned in task order.  If any task raised, the
-        first (by index) exception is re-raised after every thread has
-        been joined — so a failing gang never leaks threads.
-        """
-        if self._closed:
-            raise RuntimeClosedError(f"runtime {self.name!r} is closed")
-        slots: List[Any] = [None] * len(fns)
-        errors: List[Optional[BaseException]] = [None] * len(fns)
-
-        def _run(index: int, fn: Callable[[], Any]) -> None:
-            # Each gang task owns its thread for its whole life, so its
-            # lane (e.g. "qs-updates-3") is pushed once and never shared.
-            tracer = get_tracer()
-            token = None
-            pushed = False
-            if tracer.enabled:
-                token = tracer.push_lane(f"{label}-{index}")
-                pushed = True
-            started = time.perf_counter()
-            try:
-                slots[index] = fn()
-            except BaseException as exc:  # gathered and re-raised below
-                errors[index] = exc
-            finally:
-                if pushed:
-                    tracer.pop_lane(token)
-                with self._gang_lock:
-                    self._gang_tasks += 1
-                    self._gang_busy_seconds += time.perf_counter() - started
-
-        threads = [
-            threading.Thread(
-                target=_run, args=(i, fn), name=f"{self.name}-{label}-{i}"
-            )
-            for i, fn in enumerate(fns)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for error in errors:
-            if error is not None:
-                raise error
-        return slots
-
     # -- instrumentation ---------------------------------------------------
     def record_steal(self, lane: int) -> None:
         """Count one stolen task against *lane*'s worker."""
@@ -266,17 +205,12 @@ class WorkerRuntime(abc.ABC):
     def stats(self) -> Dict[str, Any]:
         """Snapshot of all runtime counters (per worker and aggregate)."""
         workers = [counters.snapshot() for counters in self._counters]
-        with self._gang_lock:
-            gang_tasks = self._gang_tasks
-            gang_busy = self._gang_busy_seconds
         return {
             "runtime": self.kind,
             "n_workers": self._n_workers,
             "tasks": sum(w["tasks"] for w in workers),
             "busy_seconds": sum(w["busy_seconds"] for w in workers),
             "steals": sum(w["steals"] for w in workers),
-            "gang_tasks": gang_tasks,
-            "gang_busy_seconds": gang_busy,
             "workers": workers,
         }
 
@@ -314,7 +248,7 @@ def stats_delta(before: Dict[str, Any], after: Dict[str, Any]) -> Dict[str, Any]
         "runtime": after.get("runtime"),
         "n_workers": after.get("n_workers"),
     }
-    for key in ("tasks", "busy_seconds", "steals", "gang_tasks", "gang_busy_seconds"):
+    for key in ("tasks", "busy_seconds", "steals"):
         delta[key] = after.get(key, 0) - before.get(key, 0)
     # Crash-tolerance counters exist only on runtimes that respawn
     # workers; pass them through as deltas (and the degraded set as-is —

@@ -8,10 +8,6 @@ ordering, and instrumentation all behave exactly like the threaded
 runtime — but execution order is the submission order of a single
 thread, so failures reproduce deterministically and a debugger walks
 straight through store internals.
-
-Gang dispatch (:meth:`WorkerRuntime.run_tasks`) still uses real
-threads: gang tasks are queue-set workers that block on messages from
-each other, which cannot be serialized onto one thread.
 """
 
 from __future__ import annotations

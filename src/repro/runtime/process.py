@@ -4,7 +4,7 @@ Every other runtime executes workers as threads in one interpreter, so
 compute-bound part-steps serialize on the GIL and "as fast as the
 hardware allows" tops out at one core.  :class:`ProcessRuntime` keeps
 the whole :class:`~repro.runtime.api.WorkerRuntime` SPI — placement,
-FIFO short lanes, one-at-a-time long ops, gang tasks, drain-then-stop
+FIFO short lanes, one-at-a-time long ops, drain-then-stop
 idempotent close, per-worker stats — but serves each worker from a
 dedicated child process.
 

@@ -102,7 +102,6 @@ def _print_stats(store: PersistentKVStore) -> None:
         print(f"  kind:             {rt['runtime']} ({rt['n_workers']} workers)")
         print(f"  tasks run:        {rt['tasks']}")
         print(f"  busy seconds:     {rt['busy_seconds']:.3f}")
-        print(f"  gang tasks:       {rt['gang_tasks']}")
         if rt["steals"]:
             print(f"  messages stolen:  {rt['steals']}")
         if rt.get("respawns"):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.ebsp.loaders import DictStateLoader, EnableKeysLoader, MessageListLoa
 from repro.ebsp.properties import JobProperties
 from repro.ebsp.runner import run_job
 from repro.kvstore.local import LocalKVStore
+from repro.kvstore.partitioned import PartitionedKVStore
 
 from tests.ebsp.jobs import TestJob
 
@@ -233,3 +236,40 @@ class TestWorkStealing:
         assert engine._work_stealing
         engine.run()
         assert sorted(m for m in processed if m != "seed") == list(range(30))
+
+    def test_stealing_drains_lose_and_duplicate_nothing_under_contention(self):
+        """Drains on four threaded lanes, stealing from one hot part,
+        with the interpreter switching threads every 10 µs: each message
+        is processed exactly once and all of Huang's weight returns."""
+        lock = threading.Lock()
+        processed = []
+
+        def fn(ctx):
+            for message in ctx.input_messages():
+                if message == "seed":
+                    for i in range(400):
+                        ctx.output_message(100 + 4 * i, i)  # all to one part
+                else:
+                    with lock:
+                        processed.append(message)
+            return False
+
+        properties = JobProperties(
+            one_msg=True, no_continue=True, rare_state=True, no_ss_order=True
+        )
+        job = TestJob(fn, properties=properties, loaders=[MessageListLoader([(0, "seed")])])
+        store = PartitionedKVStore(n_partitions=4, runtime="threaded")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            engine = AsyncEngine(store, job)
+            result = engine.run()
+        finally:
+            sys.setswitchinterval(interval)
+            store.close()
+        assert sorted(processed) == list(range(400))
+        assert result.compute_invocations == 401
+        # the seed shares the hot part, so its drain leaves 400 records
+        # queued there: idle lanes must have taken some
+        assert result.counters["messages_stolen"] == result.worker_steals > 0
+        assert engine._controller.held == Fraction(1)

@@ -9,8 +9,11 @@ Each SyncEngine case runs one shape of part-step: per-key, columnar,
 columnar with state written and read back as columns, the columnar
 shape falling back to per-key, and no-collect, once clean and once
 with injected failures recovered by the driver's retry loop;
-each AsyncEngine case runs one way an idle worker waits: parking or
-work stealing.
+each AsyncEngine case runs one drain shape — parking (one drain per
+part; a part with nothing queued holds no drain until a post readies
+it) or work stealing — once clean and once with a drain whose compute
+raises.
+Every case runs on the inline, threaded and process runtimes.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import weakref
 
 import pytest
 
+from repro.errors import ComputeError
 from repro.ebsp.async_engine import AsyncEngine
 from repro.ebsp.engine import (
     SyncEngine,
@@ -54,6 +58,8 @@ def _no_collect_job():
     )
 
 
+RUNTIMES = ["inline", "threaded", "process"]
+
 PLANS = {
     "per-key": (lambda: DualFaceJob(24), {"batch_compute": False}, _PerKeyShape),
     "columnar": (lambda: DualFaceJob(24), {}, _ColumnarShape),
@@ -63,7 +69,7 @@ PLANS = {
 }
 
 
-@pytest.mark.parametrize("runtime", ["inline", "threaded"])
+@pytest.mark.parametrize("runtime", RUNTIMES)
 @pytest.mark.parametrize("plan", sorted(PLANS))
 def test_finished_engine_dies_with_its_last_reference(plan, runtime):
     make_job, options, shape = PLANS[plan]
@@ -88,7 +94,7 @@ def test_finished_engine_dies_with_its_last_reference(plan, runtime):
         store.close()
 
 
-@pytest.mark.parametrize("runtime", ["inline", "threaded"])
+@pytest.mark.parametrize("runtime", RUNTIMES)
 @pytest.mark.parametrize("plan", sorted(PLANS))
 def test_engine_that_recovered_failures_dies_with_its_last_reference(plan, runtime):
     """A failed part-step's exception and traceback travel through
@@ -137,7 +143,7 @@ NO_SYNC_PLANS = {
 }
 
 
-@pytest.mark.parametrize("runtime", ["inline", "threaded"])
+@pytest.mark.parametrize("runtime", RUNTIMES)
 @pytest.mark.parametrize("plan", sorted(NO_SYNC_PLANS))
 def test_finished_async_engine_dies_with_its_last_reference(plan, runtime):
     properties, stealing = NO_SYNC_PLANS[plan]
@@ -150,6 +156,50 @@ def test_finished_async_engine_dies_with_its_last_reference(plan, runtime):
         assert engine._work_stealing is stealing
         result = engine.run()
         assert result.compute_invocations == 8
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+        store.close()
+
+
+def _failing(ctx):
+    for value in ctx.input_messages():
+        if value == 3:
+            raise ValueError("drain failure")
+        ctx.output_message(ctx.key + 1, value + 1)
+    return False
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+@pytest.mark.parametrize("plan", sorted(NO_SYNC_PLANS))
+def test_async_engine_whose_drain_raised_dies_with_its_last_reference(plan, runtime):
+    """The failing drain's exception and traceback travel to the
+    driver and out of ``run``; none of them may keep the engine in a
+    cycle."""
+    properties, stealing = NO_SYNC_PLANS[plan]
+    store = PartitionedKVStore(n_partitions=2, runtime=runtime)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        engine = AsyncEngine(
+            store,
+            TestJob(
+                _failing,
+                loaders=[MessageListLoader([(0, 1), (10, 1)])],
+                properties=properties,
+            ),
+        )
+        assert engine._work_stealing is stealing
+        try:
+            engine.run()
+        except ComputeError:
+            pass
+        else:
+            pytest.fail("the drain's ComputeError did not reach the caller")
         ref = weakref.ref(engine)
         del engine
         assert ref() is None

@@ -103,7 +103,6 @@ def test_async_engine_options():
         "store",
         "job",
         "queuing",
-        "poll_timeout",
         "work_stealing",
         "trace",
         "on_step",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -9,7 +10,7 @@ import pytest
 
 from repro.errors import NoSuchQueueSetError, QueueError
 from repro.kvstore.local import LocalKVStore
-from repro.messaging.local_queue import LocalMessageQueuing, LocalQueueSet
+from repro.messaging.local_queue import LocalMessageQueuing
 from repro.messaging.table_queue import TableMessageQueuing
 
 
@@ -27,54 +28,44 @@ class TestQueueSetBasics:
     def test_put_then_worker_reads(self, queuing):
         qs = queuing.create_queue_set("q", 3)
         qs.put(1, "hello")
+        assert qs.take(1, 10) == ["hello"]
+        assert qs.take(0, 10) == [] and qs.take(2, 10) == []
 
-        def worker(ctx):
-            if ctx.part_index == 1:
-                return ctx.read(timeout=2)
-            return ctx.read(timeout=0.05)
-
-        results = qs.run_workers(worker)
-        assert results[1] == "hello"
-        assert results[0] is None and results[2] is None
-
-    def test_read_timeout_returns_none(self, queuing):
+    def test_take_from_empty_returns_nothing(self, queuing):
         qs = queuing.create_queue_set("q", 1)
         start = time.monotonic()
-        results = qs.run_workers(lambda ctx: ctx.read(timeout=0.05))
-        assert results == [None]
-        assert time.monotonic() - start < 2
+        assert qs.take(0, 64) == []
+        assert time.monotonic() - start < 1
 
     def test_per_sender_fifo_order(self, queuing):
-        """Messages from one sender to one queue arrive in send order —
-        the guarantee the EBSP `incremental` property rests on."""
+        """Messages from one sender to one queue are taken in send
+        order — the guarantee the EBSP `incremental` property rests on."""
         qs = queuing.create_queue_set("q", 2)
         for i in range(50):
             qs.put(0, i)
+        got = []
+        while True:
+            batch = qs.take(0, 7)
+            if not batch:
+                break
+            assert len(batch) <= 7
+            got.extend(batch)
+        assert got == list(range(50))
 
-        def worker(ctx):
-            if ctx.part_index != 0:
-                return []
-            got = []
-            for _ in range(50):
-                got.append(ctx.read(timeout=2))
-            return got
-
-        results = qs.run_workers(worker)
-        assert results[0] == list(range(50))
+    def test_take_respects_limit(self, queuing):
+        qs = queuing.create_queue_set("q", 1)
+        for i in range(5):
+            qs.put(0, i)
+        assert qs.take(0, 2) == [0, 1]
+        assert qs.pending(0) == 3
+        assert qs.take(0, 64) == [2, 3, 4]
 
     def test_workers_can_message_each_other(self, queuing):
         qs = queuing.create_queue_set("q", 2)
         qs.put(0, 1)
-
-        def worker(ctx):
-            if ctx.part_index == 0:
-                value = ctx.read(timeout=2)
-                ctx.put(1, value + 1)
-                return value
-            return ctx.read(timeout=2)
-
-        results = qs.run_workers(worker)
-        assert results == [1, 2]
+        (value,) = qs.take(0, 1)
+        qs.put(1, value + 1)
+        assert qs.take(1, 1) == [2]
 
     def test_none_message_rejected(self, queuing):
         qs = queuing.create_queue_set("q", 1)
@@ -87,6 +78,65 @@ class TestQueueSetBasics:
         qs.put(0, "b")
         assert qs.pending(0) == 2
         assert qs.pending(1) == 0
+        qs.take(0, 1)
+        assert qs.pending(0) == 1
+
+
+class TestConcurrentTake:
+    """Several takers on one part while senders put: a drain and the
+    drains stealing from its part take concurrently."""
+
+    N_SENDERS = 3
+    N_TAKERS = 4
+    PER_SENDER = 300
+
+    def test_concurrent_takes_are_exactly_once(self, queuing):
+        qs = queuing.create_queue_set("q", 2)
+        total = self.N_SENDERS * self.PER_SENDER
+        batches = []
+        lock = threading.Lock()
+        taken = [0]
+        start = threading.Barrier(self.N_SENDERS + self.N_TAKERS)
+
+        def send(sender):
+            start.wait()
+            for i in range(self.PER_SENDER):
+                qs.put(0, (sender, i))
+
+        def take():
+            start.wait()
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                batch = qs.take(0, 7)
+                with lock:
+                    if batch:
+                        batches.append(batch)
+                        taken[0] += len(batch)
+                    if taken[0] >= total:
+                        return
+
+        threads = [threading.Thread(target=send, args=(s,)) for s in range(self.N_SENDERS)]
+        threads += [threading.Thread(target=take) for _ in range(self.N_TAKERS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        seen = [message for batch in batches for message in batch]
+        assert sorted(seen) == sorted(
+            (s, i) for s in range(self.N_SENDERS) for i in range(self.PER_SENDER)
+        )
+        # each take is a FIFO slice: one sender's messages ascend in it
+        for batch in batches:
+            for sender in range(self.N_SENDERS):
+                mine = [i for s, i in batch if s == sender]
+                assert mine == sorted(mine)
+        assert qs.pending(0) == 0 and qs.take(0, 7) == []
 
 
 class TestNamespace:
@@ -134,31 +184,13 @@ class TestTableQueueInternals:
         assert table.get((2, 0)) == "payload"
         store.close()
 
-
-class TestWorkStealing:
-    def test_steal_takes_from_longest(self):
-        qs = LocalQueueSet("q", 3)
-        for i in range(5):
-            qs.put(1, f"m{i}")
-        qs.put(2, "lone")
-        stolen = qs.steal(exclude=0)
-        assert stolen == "m4"  # from the tail of the longest queue
-
-    def test_steal_nothing_available(self):
-        qs = LocalQueueSet("q", 2)
-        qs.put(0, "mine")
-        assert qs.steal(exclude=0) is None
-
-    def test_blocked_reader_wakes_on_put(self):
-        qs = LocalQueueSet("q", 1)
-        result = {}
-
-        def reader():
-            result["value"] = qs._queues[0].read(timeout=5)
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        time.sleep(0.05)
-        qs.put(0, "wake")
-        thread.join(timeout=5)
-        assert result["value"] == "wake"
+    def test_take_removes_the_messages_from_the_table(self):
+        store = LocalKVStore(default_n_parts=2)
+        queuing = TableMessageQueuing(store)
+        qs = queuing.create_queue_set("q", 2)
+        for i in range(3):
+            qs.put(1, i)
+        assert qs.take(1, 2) == [0, 1]
+        table = store.get_table("__queue__q")
+        assert [key for key, _ in table.items()] == [(1, 2)]
+        store.close()

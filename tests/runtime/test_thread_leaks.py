@@ -2,7 +2,7 @@
 
 Closing any store variant must (a) not drop in-flight async writes and
 (b) return the process to its pre-construction thread count — no
-orphaned lane threads, long-pool threads, or gang workers.
+orphaned lane threads or long-pool threads.
 """
 
 from __future__ import annotations

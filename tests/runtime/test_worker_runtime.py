@@ -2,7 +2,7 @@
 
 These tests are the executable form of the SPI documented in
 ``repro/runtime/api.py``: placement, per-worker FIFO, long-op
-serialization, drain-then-stop shutdown, gang dispatch, and the
+serialization, drain-then-stop shutdown, and the
 instrumentation counters.
 
 The process runtime participates through its fallback surface here
@@ -146,8 +146,6 @@ class TestLifecycle:
             runtime.submit(0, lambda: None)
         with pytest.raises(RuntimeClosedError):
             runtime.submit_long(0, lambda: None)
-        with pytest.raises(RuntimeClosedError):
-            runtime.run_tasks([lambda: None])
 
     def test_close_drains_pending_work(self):
         """Nothing submitted before close may be dropped (the lossy-close
@@ -176,43 +174,17 @@ class TestLifecycle:
         assert runtime.closed
 
 
-class TestGangs:
-    def test_run_tasks_gathers_in_order(self, runtime):
-        results = runtime.run_tasks([lambda i=i: i * i for i in range(4)])
-        assert results == [0, 1, 4, 9]
-
-    def test_gang_tasks_truly_concurrent(self, runtime):
-        barrier = threading.Barrier(4, timeout=10)
-        results = runtime.run_tasks([lambda: barrier.wait() is not None] * 4)
-        assert results == [True] * 4
-
-    def test_gang_exception_after_join(self, runtime):
-        joined = threading.Event()
-
-        def bad():
-            raise RuntimeError("gang failure")
-
-        def good():
-            joined.set()
-            return "ok"
-
-        with pytest.raises(RuntimeError, match="gang failure"):
-            runtime.run_tasks([bad, good])
-        assert joined.is_set()
-
-
 class TestStats:
     def test_counters_accumulate(self, runtime):
         for lane in range(8):
             runtime.submit(lane, lambda: None).result()
         runtime.submit_long(0, lambda: None).result()
-        runtime.run_tasks([lambda: None, lambda: None])
         runtime.record_steal(3)
         stats = runtime.stats()
         assert stats["runtime"] == runtime.kind
         assert stats["n_workers"] == 4
         assert stats["tasks"] == 9
-        assert stats["gang_tasks"] == 2
+        assert "gang_tasks" not in stats
         assert stats["steals"] == 1
         per_worker = {w["worker"]: w["tasks"] for w in stats["workers"]}
         assert per_worker == {0: 3, 1: 2, 2: 2, 3: 2}
