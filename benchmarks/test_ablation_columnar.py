@@ -68,7 +68,7 @@ def _run(mode: str, adjacency: Dict[int, np.ndarray], n: int) -> dict:
             "pr",
             n,
             PageRankConfig(iterations=ITERATIONS),
-            batch_compute=None if mode == "batch" else False,
+            batch_compute=mode == "batch",
         )
         elapsed = time.perf_counter() - started
         ranks = sorted(store.get_table("pr_ranks").items())

@@ -6,8 +6,10 @@ skewed: a seed component fans 200 single-message tasks out to keys that
 all hash to ONE part, and each task carries a simulated 2 ms of work
 (a GIL-releasing sleep, so workers genuinely overlap).  Without
 stealing one drain at a time works through the pile on the part's own
-lane; with stealing (enabled automatically by one-msg ∧ no-continue ∧
+lane; with stealing (the plan's choice for one-msg ∧ no-continue ∧
 rare-state ∧ no-ss-order) drains on idle workers' lanes share it.  The
+A/B lever is the ``rare_state`` declaration: without it the job is
+still no-sync eligible, but not run-anywhere, so nothing steals.  The
 store is threaded: on the inline runtime drains run one after another
 by design, so there is nothing to steal.
 """
@@ -62,17 +64,18 @@ class _SkewedJob(Job):
         return [MessageListLoader([(0, "seed")])]
 
 
-def _run(work_stealing: bool) -> float:
+def _run(rare_state: bool) -> float:
     properties = JobProperties(
-        one_msg=True, no_continue=True, rare_state=True, no_ss_order=True
+        one_msg=True, no_continue=True, rare_state=rare_state, no_ss_order=True
     )
     store = PartitionedKVStore(N_PARTS, runtime="threaded")
     try:
-        engine = AsyncEngine(store, _SkewedJob(properties), work_stealing=work_stealing)
+        engine = AsyncEngine(store, _SkewedJob(properties))
         start = time.monotonic()
         result = engine.run()
         elapsed = time.monotonic() - start
         assert result.compute_invocations == N_TASKS + 1
+        assert result.plan["work_stealing"] is rare_state
         return elapsed
     finally:
         store.close()

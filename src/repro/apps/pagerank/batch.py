@@ -3,10 +3,10 @@
 The job implements *both* faces of the programming model over the same
 math: ``compute`` processes one vertex at a time (the paper's Listing 2
 shape), ``compute_batch`` processes a whole part as aligned numpy
-columns.  Which face runs is the engine's choice (``batch_compute=``),
-which makes this job the A/B lever for the columnar-data-plane
-ablation: same store, same messages, same table writes — only the
-per-invocation overhead changes.
+columns.  Which face runs is the plan's choice (``batch_compute=False``
+forces the per-key one), which makes this job the A/B lever for the
+columnar-data-plane ablation: same store, same messages, same table
+writes — only the per-invocation overhead changes.
 
 Both faces fold each vertex's incoming contributions with
 ``np.add.reduceat`` over values sorted ascending within the

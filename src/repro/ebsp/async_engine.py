@@ -27,8 +27,8 @@ The same loop serves every runtime.  On the inline one each drain runs
 to completion inside its submit, so a run is single-threaded and its
 drain order deterministic.
 
-When the job additionally has the ``run-anywhere`` optimization
-(``no-collect ∧ rare-state``) *and* declares ``no_ss_order``, idle
+When the plan steals — the job has the ``run-anywhere`` optimization
+(``no-collect ∧ rare-state``) *and* declares ``no_ss_order`` — idle
 workers steal: a part may have one drain in flight per worker, the
 extra ones on the lanes of workers that have none.
 """
@@ -43,13 +43,13 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.errors import (
     AggregatorError,
     ComputeError,
-    JobSpecError,
     PropertyViolationError,
     TerminationError,
 )
 from repro.ebsp.frame import FrameContext, JobFrame
 from repro.ebsp.job import Job
 from repro.ebsp.loaders import StagedLoaderContext
+from repro.ebsp.properties import plan_for
 from repro.ebsp.results import JobResult
 from repro.ebsp.termination import WeightController, WeightPurse
 from repro.obs.trace import activate
@@ -148,7 +148,6 @@ class AsyncEngine(JobFrame):
         job: Job,
         *,
         queuing: Optional[MessageQueuing] = None,
-        work_stealing: Optional[bool] = None,
         trace: Any = None,
         on_step: Optional[Any] = None,
     ):
@@ -158,22 +157,10 @@ class AsyncEngine(JobFrame):
         # no per-step timeline to report.
         del on_step
         super().__init__(store, job, trace)
-        if not self._plan.no_sync:
-            raise JobSpecError(
-                "job is not eligible for no-sync execution: requires "
-                "(one-msg ∧ no-continue ∧ no-ss-order ∨ incremental) "
-                "∧ no aggregators ∧ no aborter"
-            )
+        # refuses an ineligible job; decides work stealing
+        self._plan = plan_for(job, store, synchronize=False)
+        self._work_stealing = self._plan.work_stealing
         self._queuing = queuing if queuing is not None else LocalMessageQueuing()
-        props = self._plan.properties
-        if work_stealing is None:
-            work_stealing = self._plan.run_anywhere and props.no_ss_order
-        elif work_stealing and not (self._plan.run_anywhere and props.no_ss_order):
-            raise JobSpecError(
-                "work stealing requires the run-anywhere optimization "
-                "(one-msg ∧ no-continue ∧ rare-state) plus no-ss-order"
-            )
-        self._work_stealing = work_stealing
         self._controller = WeightController()
         self._open()
         # The schedule, shared by the driver and the drains under one
@@ -210,7 +197,7 @@ class AsyncEngine(JobFrame):
                     self._queuing.delete_queue_set(self._queue_set.name)
                     self._queue_set = None
         self._metrics.counter("compute_invocations")
-        return self._finish_run(started, {"engine": "async"}, steps=0, synchronized=False)
+        return self._finish_run(started, {"engine": "async"}, steps=0)
 
     def _drive(self) -> None:
         """Submit ready parts' drains until none is ready or in flight."""

@@ -46,10 +46,11 @@ from repro.errors import (
 from repro.ebsp.frame import FrameContext, JobFrame, _job_counters
 from repro.ebsp.job import BaseContext, BatchComputeContext, Compute, Job
 from repro.ebsp.loaders import StagedLoaderContext
+from repro.ebsp.properties import plan_for
 from repro.ebsp.recovery import FailureInjector, ProgressTable, SimulatedFailure
 from repro.ebsp.results import JobResult
 from repro.obs.trace import activate, get_tracer
-from repro.runtime.shipping import CONSUMER_SHIP_ATTR, ShippingError
+from repro.runtime.shipping import CONSUMER_SHIP_ATTR
 from repro.ebsp.transport import (
     CLIENT_SRC,
     CONT,
@@ -389,7 +390,7 @@ class _StepConsumer(PartConsumer):
     under a process runtime the consumer — engine included — ships to
     the part's owner process.  The ``_ripple_shippable_`` instance
     attribute is the store's opt-in marker; it is set only when the
-    engine's preflight proved the ship state pickles.
+    engine's plan ships part-steps.
     """
 
     def __init__(self, engine: "SyncEngine", step: int):
@@ -669,38 +670,13 @@ class SyncEngine(JobFrame):
         fault_tolerance: bool = False,
         failure_injector: Optional[FailureInjector] = None,
         trace: Any = None,
-        ship_compute: Optional[bool] = None,
-        batch_compute: Optional[bool] = None,
+        batch_compute: bool = True,
         checkpoint_interval: int = 0,
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
         on_step: Optional[Any] = None,
     ):
         super().__init__(store, job, trace)
-        # -- columnar data plane --------------------------------------
-        # batch_compute=None auto-detects a compute_batch override (the
-        # same detection-by-override idiom as combiners); False forces
-        # the per-key path (the ablation's A/B lever); True demands it.
-        supports = getattr(self._compute, "supports_batch", None)
-        supports_batch = bool(supports()) if supports is not None else False
-        if batch_compute and not supports_batch:
-            raise JobSpecError(
-                "batch_compute=True but the job's Compute does not "
-                "override compute_batch"
-            )
-        # the no-collect plan (one-msg ∧ no-continue) never builds the
-        # per-destination structure batching vectorizes, so it keeps
-        # its own specialized path
-        self._batch_compute = (
-            supports_batch and batch_compute is not False and not self._plan.no_collect
-        )
-        # the part-step shape: which collect and drive halves run
-        if self._plan.no_collect:
-            self._shape = _NoCollectShape
-        elif self._batch_compute:
-            self._shape = _ColumnarShape
-        else:
-            self._shape = _PerKeyShape
         self._spill_batch = spill_batch
         self._max_steps = max_steps
         if failure_injector is not None and not fault_tolerance:
@@ -748,40 +724,29 @@ class SyncEngine(JobFrame):
         # the exporter stays in the parent; a shipped copy still needs
         # to know whether to buffer direct outputs
         self._has_direct_exporter = self._direct_exporter is not None
-        self._ship_parts = self._preflight_shipping(ship_compute)
+        # the plan picks the part-step shape and whether part-steps ship
+        self._plan = plan_for(
+            job,
+            store,
+            synchronize=True,
+            batch_compute=batch_compute,
+            ship_state_pickles=self._ship_state_pickles(),
+        )
+        self._shape = {"per-key": _PerKeyShape, "columnar": _ColumnarShape,
+                       "no-collect": _NoCollectShape}[self._plan.shape]
+        self._ship_parts = self._plan.shipped
 
-    def _preflight_shipping(self, ship_compute: Optional[bool]) -> bool:
-        """Decide whether part-steps ship to worker processes.
-
-        Shipping needs a store that keeps parts resident in worker
-        processes (``ships_compute``) *and* a job whose engine ship
-        state pickles.  With ``ship_compute=None`` (the default) an
-        unpicklable job silently falls back to the parent-side path —
-        lambda-heavy jobs keep working on every runtime; with
-        ``ship_compute=True`` the failure surfaces as a clear error.
-        """
-        ships = bool(getattr(self._store, "ships_compute", False))
-        if ship_compute is False:
-            return False
-        if ship_compute and not ships:
-            raise ShippingError(
-                "ship_compute=True requires a store on a process runtime "
-                f"(this store's runtime is {getattr(self._runtime, 'kind', 'unknown')!r})"
-            )
-        if not ships:
+    def _ship_state_pickles(self) -> bool:
+        """The planner input only a built engine can detect: whether its
+        ship state pickles (tried only on a store that ships compute).
+        A job that does not (lambdas, closures) runs in the parent."""
+        if not getattr(self._store, "ships_compute", False):
             return False
         try:
             pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-            return True
-        except Exception as exc:
-            if ship_compute:
-                raise ShippingError(
-                    "ship_compute=True but the job cannot be shipped to "
-                    f"worker processes: {exc}.  Computes, aggregators, "
-                    "combiners, and broadcast values must pickle — use "
-                    "module-level classes instead of lambdas/closures."
-                ) from exc
+        except Exception:
             return False
+        return True
 
     def __getstate__(self) -> dict:
         """The engine's *ship state*: what a part-step needs in a worker.
@@ -938,7 +903,6 @@ class SyncEngine(JobFrame):
                 steps=steps_taken,
                 aggregates=dict(self._agg_values),
                 aborted=aborted,
-                synchronized=True,
                 timeline=list(self._timeline),
             )
             if self._checkpoints is not None:

@@ -6,21 +6,21 @@ or without them, on queue sets under Huang termination
 (:class:`~repro.ebsp.async_engine.AsyncEngine`).  Everything that does
 not depend on *how* the computes are driven is written once, here:
 
-* construction — tracer, compute, aggregators, the execution plan, the
-  job id, the metrics registry, the store's worker runtime and the
-  direct exporter, with the job's state exporters checked before
-  anything runs;
+* construction — tracer, compute, aggregators, the job id, the
+  metrics registry, the store's worker runtime and the direct exporter,
+  with the job's state exporters checked before anything runs;
 * the state tables (names, part count, creation), the job's stats
   window, and the broadcast snapshot (:meth:`JobFrame._open`);
 * key → part routing, memoized (:meth:`JobFrame._part_of`);
 * finishing a run — ``store_*`` deltas, ``runtime.*`` gauges and crash
-  counters, the :class:`JobResult`, trace export, the store's job-stats
-  and trace tables, state exporters, ``on_complete``
-  (:meth:`JobFrame._finish_run`);
+  counters, the :class:`JobResult` with the engine's plan, trace export,
+  the store's job-stats and trace tables, state exporters,
+  ``on_complete`` (:meth:`JobFrame._finish_run`);
 * the per-invocation state buffer and the write-back cache of every
   compute context (:class:`FrameContext`).
 
-An engine subclasses :class:`JobFrame` and keeps its driving loop.  The
+An engine subclasses :class:`JobFrame`, keeps its driving loop, and
+sets ``_plan`` from :func:`~repro.ebsp.properties.plan_for`.  The
 frame stores no bound method on ``self``: an engine in a reference cycle
 outlives its last reference until the cyclic collector runs.
 """
@@ -33,7 +33,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import JobSpecError
 from repro.ebsp.job import ComputeContext, Job
-from repro.ebsp.properties import ExecutionPlan
 from repro.ebsp.results import JobResult, record_job_stats, record_job_trace
 from repro.kvstore.api import FnPairConsumer, KVStore, Table, TableSpec
 from repro.obs.metrics import MetricsRegistry
@@ -189,9 +188,6 @@ class JobFrame:
         self._tracer: Tracer = resolve_tracer(trace)
         self._compute = job.get_compute()
         self._aggs = dict(job.aggregators())
-        self._plan = ExecutionPlan.derive(
-            job.properties(), bool(self._aggs), job.has_aborter
-        )
         # a misnamed exporter is a spec error: refuse before any compute
         # runs or any table is created
         names = job.state_table_names()
@@ -299,6 +295,8 @@ class JobFrame:
             elapsed_seconds=time.monotonic() - started,
             worker_stats=worker_stats,
             metrics=metrics,
+            synchronized=self._plan.synchronized,
+            plan=self._plan.as_dict(),
             **fields,
         )
         if self._tracer.enabled:

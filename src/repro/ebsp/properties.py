@@ -31,7 +31,9 @@ The first two properties "can easily be detected by Ripple before it
 starts actually running the job; the others must be explicitly
 declared" — which is exactly how :meth:`ExecutionPlan.derive` works:
 it takes the declared :class:`JobProperties` plus the two facts
-detected from the job object.
+detected from the job object.  It then decides how the job runs
+(barriers, part-step shape, shipping, stealing) from further detected
+facts (:func:`plan_for`); ``JobResult.plan`` records the choice.
 
 One engine optimization needs *no* property gate: active-part
 scheduling (skipping the part-step task for parts with no pending
@@ -43,7 +45,10 @@ which is why the engine always does it rather than deriving it here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Optional
+
+from repro.errors import JobSpecError
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class JobProperties:
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """The optimizations the engine may apply to a given job."""
+    """The optimizations a job may get, and how it runs."""
 
     no_sort: bool
     no_collect: bool
@@ -72,12 +77,31 @@ class ExecutionPlan:
     properties: JobProperties
     no_agg: bool
     no_client_sync: bool
+    synchronized: bool
+    #: "per-key", "columnar" or "no-collect" part-steps; "drain" without barriers
+    shape: str
+    shipped: bool
+    work_stealing: bool
 
     @classmethod
     def derive(
-        cls, properties: JobProperties, has_aggregators: bool, has_aborter: bool
+        cls,
+        properties: JobProperties,
+        has_aggregators: bool,
+        has_aborter: bool,
+        *,
+        synchronize: Optional[bool] = None,
+        columnar: bool = False,
+        ships: bool = False,
     ) -> "ExecutionPlan":
-        """Apply the paper's implication rules."""
+        """Apply the paper's implication rules, then choose how the job runs.
+
+        *synchronize* is the paper's all-or-nothing switch: ``None``
+        follows ``no_sync``; ``False`` raises :class:`JobSpecError` for
+        an ineligible job.  Part-steps are no-collect when the rules
+        allow, else columnar when *columnar*; they ship when *ships*.
+        Drains never ship; they steal under run-anywhere ∧ no-ss-order.
+        """
         no_agg = not has_aggregators
         no_client_sync = not has_aborter
         no_sort = not properties.needs_order
@@ -88,6 +112,15 @@ class ExecutionPlan:
             and no_agg
             and no_client_sync
         )
+        if synchronize is False and not no_sync:
+            raise JobSpecError(
+                "job is not eligible for no-sync execution: requires (one-msg ∧ "
+                "no-continue ∧ no-ss-order ∨ incremental) ∧ no aggregators ∧ no aborter"
+            )
+        synchronized = not no_sync if synchronize is None else synchronize
+        # no-collect builds no per-destination groups to vectorize
+        shape = ("drain" if not synchronized else "no-collect" if no_collect
+                 else "columnar" if columnar else "per-key")
         return cls(
             no_sort=no_sort,
             no_collect=no_collect,
@@ -97,4 +130,36 @@ class ExecutionPlan:
             properties=properties,
             no_agg=no_agg,
             no_client_sync=no_client_sync,
+            synchronized=synchronized,
+            shape=shape,
+            shipped=synchronized and ships,
+            work_stealing=not synchronized and run_anywhere and properties.no_ss_order,
         )
+
+    def as_dict(self) -> Dict[str, Any]:
+        """``JobResult.plan``: how the job ran, the five derived
+        optimizations and what they came from, in plain JSON values."""
+        return {"engine": "sync" if self.synchronized else "no-sync", **asdict(self)}
+
+
+def plan_for(
+    job: Any,
+    store: Any = None,
+    *,
+    synchronize: Optional[bool] = None,
+    batch_compute: bool = True,
+    ship_state_pickles: bool = False,
+) -> ExecutionPlan:
+    """The plan *job* runs by on *store*: its declared properties plus
+    the facts detected from the job (aggregators, aborter, a
+    ``compute_batch`` override) and the store (``ships_compute``).
+    ``batch_compute=False`` is the per-key reference lever.  Only a
+    built engine knows if its ship state pickles (*ship_state_pickles*)."""
+    return ExecutionPlan.derive(
+        job.properties(),
+        bool(job.aggregators()),
+        job.has_aborter,
+        synchronize=synchronize,
+        columnar=batch_compute and job.get_compute().supports_batch(),
+        ships=ship_state_pickles and bool(getattr(store, "ships_compute", False)),
+    )

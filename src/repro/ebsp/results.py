@@ -45,8 +45,8 @@ class JobResult:
     Final component states stay in the key/value store (and flow
     through the job's state exporters); direct job output flows through
     the direct exporter; this object carries the final aggregator
-    results, the number of steps taken, instrumentation counters, and
-    (for synchronized runs) a per-step timeline.
+    results, the number of steps taken, instrumentation counters, the
+    execution plan, and (for synchronized runs) a per-step timeline.
     """
 
     steps: int
@@ -68,6 +68,8 @@ class JobResult:
     #: For traced runs, the Chrome/Perfetto trace-event document the
     #: run exported (``None`` when tracing was off).
     trace: Optional[Dict[str, Any]] = None
+    #: How the job ran (:meth:`~repro.ebsp.properties.ExecutionPlan.as_dict`).
+    plan: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def compute_invocations(self) -> int:
@@ -101,20 +103,6 @@ class JobResult:
     def transport_batches(self) -> int:
         """Batched transport dispatches (each one marshalled request)."""
         return self.counters.get("transport_batches", 0)
-
-    @property
-    def spill_in_flight_hwm(self) -> int:
-        """High-water mark of concurrently outstanding spill dispatches."""
-        return self.counters.get("spill_in_flight_hwm", 0)
-
-    @property
-    def bytes_per_batch(self) -> float:
-        """Mean marshalled bytes per batched store request for this run
-        (0.0 when the store keeps no serde statistics)."""
-        batches = self.counters.get("store_batched_requests", 0)
-        if not batches:
-            return 0.0
-        return self.counters.get("store_marshalled_bytes", 0) / batches
 
     @property
     def marshalled_bytes(self) -> int:

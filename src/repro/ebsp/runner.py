@@ -1,13 +1,14 @@
 """Top-level job execution: pick an engine from the job's properties.
 
 ``run_job`` is the public entry point: it derives the execution plan
-from the job's declared properties (plus the two detected ones) and
-dispatches to the no-sync engine when the job is eligible — unless the
-caller forces synchronization, which is the paper's "simple
-all-or-nothing switch".  Both engines run inside the same job frame
-(:mod:`repro.ebsp.frame`), so the choice changes how computes are
-driven, never how the job's tables are set up or how its result,
-counters and outputs are reported.
+(:func:`plan_for`) from the job's declared properties plus the facts
+detected from the job and the store, and dispatches to the no-sync
+engine when the job is eligible — unless the caller forces
+synchronization, which is the paper's "simple all-or-nothing switch".
+Both engines run inside the same job frame (:mod:`repro.ebsp.frame`),
+so the choice changes how computes are driven, never how the job's
+tables are set up or how its result, counters and outputs are
+reported.
 """
 
 from __future__ import annotations
@@ -17,14 +18,9 @@ from typing import Optional
 from repro.ebsp.async_engine import AsyncEngine
 from repro.ebsp.engine import SyncEngine
 from repro.ebsp.job import Job
-from repro.ebsp.properties import ExecutionPlan
+from repro.ebsp.properties import plan_for
 from repro.ebsp.results import JobResult
 from repro.kvstore.api import KVStore
-
-
-def plan_for(job: Job) -> ExecutionPlan:
-    """Derive the execution plan the engines would use for *job*."""
-    return ExecutionPlan.derive(job.properties(), bool(job.aggregators()), job.has_aborter)
 
 
 def run_job(
@@ -46,12 +42,10 @@ def run_job(
         :class:`~repro.errors.JobSpecError` for an ineligible job.
     engine_kwargs:
         Passed through to the chosen engine (e.g. ``max_steps``,
-        ``spill_batch``, ``fault_tolerance`` for the synchronous
-        engine; ``queuing`` and ``work_stealing`` for the
-        asynchronous one; ``trace`` and ``on_step`` for both).
+        ``spill_batch``, ``fault_tolerance`` and ``batch_compute`` for
+        the synchronous engine; ``queuing`` for the asynchronous one;
+        ``trace`` and ``on_step`` for both).
     """
-    plan = plan_for(job)
-    use_sync = not plan.no_sync if synchronize is None else synchronize
-    if use_sync:
+    if plan_for(job, store, synchronize=synchronize).synchronized:
         return SyncEngine(store, job, **engine_kwargs).run()
     return AsyncEngine(store, job, **engine_kwargs).run()

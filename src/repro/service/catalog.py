@@ -203,8 +203,8 @@ def _build_pagerank(store: KVStore, request: JobRequest) -> PreparedJob:
             "ranks": {str(v): r for v, r in sorted(ranks.items())},
         }
 
-    # The graph table is only read; the engine picks the columnar face
-    # of the batch job (batch_compute=None) unless the request says not.
+    # The graph table is only read; the plan picks the columnar shape
+    # for the batch job unless the request sets batch_compute false.
     return PreparedJob(
         job=pagerank_batch_job(
             store, table, p["n_vertices"], config, ranks_table=ranks_table

@@ -175,7 +175,7 @@ def test_payload_identical_on_both_planes(runtime):
 
 def test_batch_plane_is_picked_by_default(monkeypatch):
     def per_key(self, ctx):
-        raise AssertionError("per-key compute ran with batch_compute=None")
+        raise AssertionError("per-key compute ran with batch_compute unset")
 
     monkeypatch.setattr(_KMeansCompute, "compute", per_key)
     store = LocalKVStore(default_n_parts=4)
@@ -304,8 +304,8 @@ def test_finished_engine_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         engine = SyncEngine(store, kmeans_job("cycle_check", points, 3), max_steps=6)
-        assert engine._batch_compute and engine._ship_parts
         result = engine.run()
+        assert result.plan["shape"] == "columnar" and result.plan["shipped"]
         assert result.steps > 0
         ref = weakref.ref(engine)
         del engine

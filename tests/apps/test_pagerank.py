@@ -145,7 +145,7 @@ class TestAcrossStores:
 class TestBatchVariant:
     """The columnar variant: one job, two data planes (apps layer)."""
 
-    def _run(self, adjacency, config, batch_compute=None):
+    def _run(self, adjacency, config, batch_compute=True):
         store = LocalKVStore(default_n_parts=4)
         n = build_pagerank_table(store, "pr", adjacency)
         result = pagerank_batch(
@@ -179,7 +179,7 @@ class TestBatchVariant:
             adjacency, config, batch_compute=False
         )
         _, batch_result, batch_raw = self._run(
-            adjacency, config, batch_compute=None
+            adjacency, config, batch_compute=True
         )
         assert pickle.dumps(batch_raw) == pickle.dumps(perkey_raw)
         assert (
@@ -194,7 +194,7 @@ class TestBatchVariant:
         adjacency = {0: [1, 2], 1: [3], 2: [3], 3: [], 4: [0, 3]}
         config = PageRankConfig(iterations=8)
         perkey, _, _ = self._run(adjacency, config, batch_compute=False)
-        batch, _, _ = self._run(adjacency, config, batch_compute=None)
+        batch, _, _ = self._run(adjacency, config, batch_compute=True)
         reference = reference_pagerank(adjacency, config)
         for v in reference:
             assert batch[v] == pytest.approx(perkey[v], abs=1e-12)

@@ -294,7 +294,10 @@ class TestWave:
         store = _wave_store()
         try:
             for source in (0, 11, 299):
-                steps, distances = _solve(store, adjacency, source, batch_compute=batch)
+                steps, distances = _solve(
+                    store, adjacency, source,
+                    **({} if batch is None else {"batch_compute": batch}),
+                )
                 assert distances == reference_distances(adjacency, source)
                 selective = SelectiveSSSP(LocalKVStore(default_n_parts=4), source)
                 selective.load(adjacency)
@@ -385,7 +388,7 @@ def test_payload_identical_on_both_planes(runtime):
 
 def test_batch_plane_is_picked_by_default(monkeypatch):
     def per_key(self, ctx):
-        raise AssertionError("per-key compute ran with batch_compute=None")
+        raise AssertionError("per-key compute ran with batch_compute unset")
 
     monkeypatch.setattr(_WaveCompute, "compute", per_key)
     store = LocalKVStore(default_n_parts=4)
@@ -501,8 +504,8 @@ def test_finished_wave_engine_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         engine = SyncEngine(store, wave_sssp_job("cycle_graph", "cycle_dist", 0, 300))
-        assert engine._batch_compute and engine._ship_parts
         result = engine.run()
+        assert result.plan["shape"] == "columnar" and result.plan["shipped"]
         assert result.steps > 0
         ref = weakref.ref(engine)
         del engine

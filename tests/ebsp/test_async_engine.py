@@ -208,9 +208,9 @@ class TestExecution:
 
 class TestWorkStealing:
     def test_stealing_requires_run_anywhere(self, store):
+        # incremental makes the job no-sync eligible, not run-anywhere
         job = TestJob(lambda ctx: False, properties=INCREMENTAL)
-        with pytest.raises(JobSpecError):
-            AsyncEngine(store, job, work_stealing=True)
+        assert not run_job(store, job).plan["work_stealing"]
 
     def test_stealing_job_completes_correctly(self, store):
         """With one-msg/no-continue/rare-state/no-ss-order, stealing is
@@ -232,9 +232,7 @@ class TestWorkStealing:
             one_msg=True, no_continue=True, rare_state=True, no_ss_order=True
         )
         job = TestJob(fn, properties=properties, loaders=[MessageListLoader([(0, "seed")])])
-        engine = AsyncEngine(store, job)
-        assert engine._work_stealing
-        engine.run()
+        assert run_job(store, job).plan["work_stealing"]
         assert sorted(m for m in processed if m != "seed") == list(range(30))
 
     def test_stealing_drains_lose_and_duplicate_nothing_under_contention(self):

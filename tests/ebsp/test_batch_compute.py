@@ -27,7 +27,7 @@ from repro.ebsp.transport import (
     create_transport_table,
     group_step_columns,
 )
-from repro.errors import JobSpecError, PropertyViolationError
+from repro.errors import PropertyViolationError
 from repro.kvstore.api import TableSpec
 from repro.kvstore.local import LocalKVStore
 from repro.kvstore.partitioned import PartitionedKVStore
@@ -136,7 +136,7 @@ class TestParityAcrossRuntimes:
     @pytest.mark.parametrize("runtime", RUNTIMES)
     def test_batch_matches_perkey(self, runtime):
         perkey, perkey_state = _run(runtime, batch_compute=False)
-        batch, batch_state = _run(runtime, batch_compute=None)
+        batch, batch_state = _run(runtime, batch_compute=True)
         assert batch_state == perkey_state
         assert batch.steps == perkey.steps
         assert dict(batch.aggregates) == dict(perkey.aggregates)
@@ -192,14 +192,16 @@ class TestFallback:
         assert state == {1: 7, "a": 7, 2: 7, "b": 7}
 
     def test_batch_compute_true_requires_override(self):
+        # the columnar shape needs a compute_batch override: without one
+        # batch_compute=True (the default) leaves the job per-key
         with PartitionedKVStore(n_partitions=2) as store:
-            with pytest.raises(JobSpecError, match="compute_batch"):
-                run_job(
-                    store,
-                    TestJob(lambda ctx: False),
-                    synchronize=True,
-                    batch_compute=True,
-                )
+            result = run_job(
+                store,
+                TestJob(lambda ctx: False),
+                synchronize=True,
+                batch_compute=True,
+            )
+        assert result.plan["shape"] == "per-key"
 
 
 class OneMsgViolatingCompute(Compute):

@@ -9,10 +9,10 @@ Each SyncEngine case runs one shape of part-step: per-key, columnar,
 columnar with state written and read back as columns, the columnar
 shape falling back to per-key, and no-collect, once clean and once
 with injected failures recovered by the driver's retry loop;
-each AsyncEngine case runs one drain shape — parking (one drain per
-part; a part with nothing queued holds no drain until a post readies
-it) or work stealing — once clean and once with a drain whose compute
-raises.
+each AsyncEngine case runs one drain plan — one drain per part (a part
+with nothing queued holds no drain until a post readies it) or work
+stealing — once clean and once with a drain whose compute raises.
+Each case checks that the plan it names is the one that ran.
 Every case runs on the inline, threaded and process runtimes.
 """
 
@@ -25,14 +25,10 @@ import pytest
 
 from repro.errors import ComputeError
 from repro.ebsp.async_engine import AsyncEngine
-from repro.ebsp.engine import (
-    SyncEngine,
-    _ColumnarShape,
-    _NoCollectShape,
-    _PerKeyShape,
-)
+from repro.ebsp.engine import SyncEngine
 from repro.ebsp.loaders import MessageListLoader
 from repro.ebsp.properties import JobProperties
+from repro.ebsp.runner import plan_for
 from repro.ebsp.recovery import FailureInjector
 from repro.kvstore.partitioned import PartitionedKVStore
 
@@ -61,11 +57,11 @@ def _no_collect_job():
 RUNTIMES = ["inline", "threaded", "process"]
 
 PLANS = {
-    "per-key": (lambda: DualFaceJob(24), {"batch_compute": False}, _PerKeyShape),
-    "columnar": (lambda: DualFaceJob(24), {}, _ColumnarShape),
-    "column-state": (lambda: StagingJob("write_read"), {}, _ColumnarShape),
-    "fallback": (MixedKeyJob, {}, _ColumnarShape),
-    "no-collect": (_no_collect_job, {}, _NoCollectShape),
+    "per-key": (lambda: DualFaceJob(24), {"batch_compute": False}, "per-key"),
+    "columnar": (lambda: DualFaceJob(24), {}, "columnar"),
+    "column-state": (lambda: StagingJob("write_read"), {}, "columnar"),
+    "fallback": (MixedKeyJob, {}, "columnar"),
+    "no-collect": (_no_collect_job, {}, "no-collect"),
 }
 
 
@@ -80,8 +76,8 @@ def test_finished_engine_dies_with_its_last_reference(plan, runtime):
     gc.disable()
     try:
         engine = SyncEngine(store, make_job(), **options)
-        assert engine._shape is shape
         result = engine.run()
+        assert result.plan["shape"] == shape
         assert result.steps > 0
         if plan == "fallback":
             assert result.counters["batch_fallbacks"] == 1
@@ -114,8 +110,8 @@ def test_engine_that_recovered_failures_dies_with_its_last_reference(plan, runti
         engine = SyncEngine(
             store, make_job(), fault_tolerance=True, failure_injector=injector, **options
         )
-        assert engine._shape is shape
         result = engine.run()
+        assert result.plan["shape"] == shape
         assert result.counters["part_step_retries"] == injector.failures_injected > 0
         ref = weakref.ref(engine)
         del engine
@@ -135,7 +131,7 @@ def _no_sync_job(properties):
 
 
 NO_SYNC_PLANS = {
-    "parking": (JobProperties(incremental=True, no_continue=True), False),
+    "drain": (JobProperties(incremental=True, no_continue=True), False),
     "stealing": (
         JobProperties(one_msg=True, no_continue=True, rare_state=True, no_ss_order=True),
         True,
@@ -153,8 +149,8 @@ def test_finished_async_engine_dies_with_its_last_reference(plan, runtime):
     gc.disable()
     try:
         engine = AsyncEngine(store, _no_sync_job(properties))
-        assert engine._work_stealing is stealing
         result = engine.run()
+        assert result.plan["work_stealing"] is stealing
         assert result.compute_invocations == 8
         ref = weakref.ref(engine)
         del engine
@@ -181,19 +177,18 @@ def test_async_engine_whose_drain_raised_dies_with_its_last_reference(plan, runt
     cycle."""
     properties, stealing = NO_SYNC_PLANS[plan]
     store = PartitionedKVStore(n_partitions=2, runtime=runtime)
+    job = TestJob(
+        _failing,
+        loaders=[MessageListLoader([(0, 1), (10, 1)])],
+        properties=properties,
+    )
+    # the run raises, so no result carries the plan: ask the planner
+    assert plan_for(job, store).work_stealing is stealing
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        engine = AsyncEngine(
-            store,
-            TestJob(
-                _failing,
-                loaders=[MessageListLoader([(0, 1), (10, 1)])],
-                properties=properties,
-            ),
-        )
-        assert engine._work_stealing is stealing
+        engine = AsyncEngine(store, job)
         try:
             engine.run()
         except ComputeError:

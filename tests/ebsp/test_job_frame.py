@@ -17,6 +17,8 @@ from repro.ebsp.engine import SyncEngine
 from repro.ebsp.exporters import CollectingExporter
 from repro.ebsp.loaders import DictStateLoader, MessageListLoader
 from repro.ebsp.properties import JobProperties
+from repro.ebsp.recovery import FailureInjector
+from repro.ebsp.runner import run_job
 from repro.kvstore.partitioned import PartitionedKVStore
 
 from tests.conftest import runtime_override
@@ -98,12 +100,50 @@ def test_misnamed_state_exporter_refused_before_anything_runs(store, engine_cls)
     assert not [name for name in store.list_tables() if name.startswith("__ebsp")]
 
 
+#: Every other refusal an engine makes of its options, each with the
+#: words its error names.
+REFUSALS = {
+    "failure-injector-without-ft": (
+        lambda store, job: SyncEngine(store, job, failure_injector=FailureInjector()).run(),
+        "fault_tolerance",
+    ),
+    "checkpoints-without-ft": (
+        lambda store, job: SyncEngine(store, job, checkpoint_interval=2).run(),
+        "fault_tolerance",
+    ),
+    "resume-without-ft": (
+        lambda store, job: SyncEngine(store, job, resume=True).run(),
+        "fault_tolerance",
+    ),
+    "no-sync-ineligible": (
+        lambda store, job: run_job(store, job, synchronize=False),
+        "not eligible for no-sync",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(REFUSALS))
+def test_option_refused_before_anything_runs(store, refusal):
+    invoked = []
+
+    def fn(ctx):
+        invoked.append(ctx.key)
+        return False
+
+    # a plain job synchronizes: ineligible for no-sync
+    job = TestJob(fn, loaders=[MessageListLoader([(2, "x"), (1, "y")])])
+    start, match = REFUSALS[refusal]
+    with pytest.raises(JobSpecError, match=match):
+        start(store, job)
+    assert invoked == []
+    assert not [name for name in store.list_tables() if name.startswith("__ebsp")]
+
+
 def test_async_engine_options():
     assert list(inspect.signature(AsyncEngine).parameters) == [
         "store",
         "job",
         "queuing",
-        "work_stealing",
         "trace",
         "on_step",
     ]

@@ -11,7 +11,6 @@ must keep working unmodified via the parent-side fallback.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.apps.pagerank import (
     PageRankConfig,
@@ -23,7 +22,6 @@ from repro.ebsp.loaders import MessageListLoader
 from repro.ebsp.recovery import FailureInjector
 from repro.ebsp.runner import run_job
 from repro.kvstore.partitioned import PartitionedKVStore
-from repro.runtime.shipping import ShippingError
 
 from tests.ebsp.jobs import TestJob
 
@@ -64,12 +62,6 @@ def test_shipped_run_matches_threaded():
         assert shipped.counters.get(name) == threaded.counters.get(name), name
 
 
-def test_explicit_ship_compute_accepted_for_picklable_job():
-    result, _ = _run_pagerank("process", ship_compute=True)
-    assert result.steps == 5
-    assert result.counters["compute_invocations"] > 0
-
-
 def test_shipped_trace_spans_replay_into_parent_timeline():
     result, _ = _run_pagerank("process", trace=True)
     events = result.trace["traceEvents"]
@@ -102,23 +94,3 @@ def test_lambda_job_falls_back_on_process_runtime():
         result = run_job(store, job, synchronize=True)
         assert result.steps == 3
         assert store.get_table("state").get(0) == 3
-
-
-def test_explicit_ship_compute_rejects_unpicklable_job():
-    with PartitionedKVStore(n_partitions=2, runtime="process") as store:
-        job = TestJob(
-            lambda ctx: False,
-            loaders=[MessageListLoader([(0, 0)])],
-        )
-        with pytest.raises(ShippingError, match="cannot be shipped"):
-            run_job(store, job, synchronize=True, ship_compute=True)
-
-
-def test_explicit_ship_compute_rejects_thread_runtime():
-    with PartitionedKVStore(n_partitions=2, runtime="threaded") as store:
-        job = TestJob(
-            lambda ctx: False,
-            loaders=[MessageListLoader([(0, 0)])],
-        )
-        with pytest.raises(ShippingError, match="process runtime"):
-            run_job(store, job, synchronize=True, ship_compute=True)

@@ -310,9 +310,10 @@ class TestInjectorLedger:
 class TestErrorsCrossTheProcessHop:
     def test_compute_error_from_a_shipped_part_step(self):
         with PartitionedKVStore(n_partitions=2, runtime="process") as store:
-            job = ChainJob(fail_with_value_error=True)
+            engine = SyncEngine(store, ChainJob(fail_with_value_error=True))
+            assert engine._plan.shipped
             with pytest.raises(ComputeError) as raised:
-                run_job(store, job, synchronize=True, ship_compute=True)
+                engine.run()
         assert raised.value.step == 1
         assert raised.value.key in KEYS
         assert isinstance(raised.value.cause, ValueError)
