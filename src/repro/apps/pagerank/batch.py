@@ -36,6 +36,7 @@ from repro.ebsp.results import JobResult
 from repro.ebsp.runner import run_job
 from repro.errors import JobError
 from repro.kvstore.api import KVStore
+from repro.util.sorting import stable_argsort
 from repro.apps.pagerank.common import PageRankConfig
 
 SINK_AGG = "sink"
@@ -70,15 +71,10 @@ class _BatchPageRankCompute(Compute):
         # (targets, out_degrees).  The graph tables this job runs over
         # are static for the job's duration, and the enabled key set of
         # a part repeats every step, so the structure scan happens once
-        # per part instead of once per superstep.
+        # per part instead of once per superstep — on a process store
+        # once per part in its owner worker, where the compute stays
+        # resident for the job.
         self._csr: Dict[bytes, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def __getstate__(self) -> dict:
-        # the CSR memo is per-process scratch: don't ship it to worker
-        # processes (each builds its own from its resident parts)
-        state = self.__dict__.copy()
-        state["_csr"] = {}
-        return state
 
     # -- per-key face ---------------------------------------------------
     def compute(self, ctx: ComputeContext) -> bool:
@@ -167,8 +163,11 @@ class _BatchPageRankCompute(Compute):
             accs = np.zeros(n, dtype=np.float64)
             if len(payloads):
                 # sort ascending within each destination group, then fold
-                # each group sequentially — bit-for-bit the per-key fold
-                order = np.lexsort((payloads, batch.group_index()))
+                # each group sequentially — bit-for-bit the per-key fold:
+                # sort by value, then stably by group (equal values are
+                # interchangeable in the fold)
+                order = np.argsort(payloads)
+                order = order[stable_argsort(batch.group_index()[order])]
                 sorted_payloads = payloads[order]
                 nonzero = batch.counts > 0
                 accs[nonzero] = np.add.reduceat(

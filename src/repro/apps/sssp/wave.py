@@ -42,6 +42,7 @@ from repro.ebsp.loaders import EnableKeysLoader, Loader
 from repro.ebsp.properties import JobProperties
 from repro.errors import JobError
 from repro.kvstore.api import KVStore, TableSpec
+from repro.util.sorting import stable_argsort
 
 #: State-table indices of the wave job.
 GRAPH_TAB = 0
@@ -83,12 +84,13 @@ class _WaveCompute(Compute):
         """The smallest payload per destination (sorted by destination)."""
         dest_keys = np.asarray(dest_keys)
         payloads = np.asarray(payloads, dtype=np.int64)
-        order = np.lexsort((payloads, dest_keys))
+        order = stable_argsort(dest_keys)
         dest_keys = dest_keys[order]
         first = np.empty(len(dest_keys), dtype=bool)
         first[:1] = True
         np.not_equal(dest_keys[1:], dest_keys[:-1], out=first[1:])
-        return dest_keys[first], payloads[order][first]
+        starts = np.flatnonzero(first)
+        return dest_keys[starts], np.minimum.reduceat(payloads[order], starts)
 
     def compute_batch(self, ctx: BatchComputeContext) -> bool:
         keys = ctx.keys

@@ -158,7 +158,7 @@ class AsyncEngine(JobFrame):
         del on_step
         super().__init__(store, job, trace)
         # refuses an ineligible job; decides work stealing
-        self._plan = plan_for(job, store, synchronize=False)
+        self._plan = plan_for(job, store, compute=self._compute, synchronize=False)
         self._work_stealing = self._plan.work_stealing
         self._queuing = queuing if queuing is not None else LocalMessageQueuing()
         self._controller = WeightController()

@@ -46,11 +46,11 @@ from repro.errors import (
 from repro.ebsp.frame import FrameContext, JobFrame, _job_counters
 from repro.ebsp.job import BaseContext, BatchComputeContext, Compute, Job
 from repro.ebsp.loaders import StagedLoaderContext
-from repro.ebsp.properties import plan_for
+from repro.ebsp.properties import plan_for, require_bool
 from repro.ebsp.recovery import FailureInjector, ProgressTable, SimulatedFailure
 from repro.ebsp.results import JobResult
 from repro.obs.trace import activate, get_tracer
-from repro.runtime.shipping import CONSUMER_SHIP_ATTR
+from repro.runtime.shipping import CONSUMER_SHIP_ATTR, Resident, drop_resident
 from repro.ebsp.transport import (
     CLIENT_SRC,
     CONT,
@@ -654,6 +654,7 @@ _PARENT_ONLY = (
     "_timeline",
     "_checkpoints",
     "_on_step",
+    "_compute_ref",
 )
 
 
@@ -676,6 +677,7 @@ class SyncEngine(JobFrame):
         resume: bool = False,
         on_step: Optional[Any] = None,
     ):
+        require_bool("batch_compute", batch_compute)
         super().__init__(store, job, trace)
         self._spill_batch = spill_batch
         self._max_steps = max_steps
@@ -724,10 +726,13 @@ class SyncEngine(JobFrame):
         # the exporter stays in the parent; a shipped copy still needs
         # to know whether to buffer direct outputs
         self._has_direct_exporter = self._direct_exporter is not None
+        # what a shipped part-step carries instead of the compute
+        self._compute_ref: Optional[Resident] = None
         # the plan picks the part-step shape and whether part-steps ship
         self._plan = plan_for(
             job,
             store,
+            compute=self._compute,
             synchronize=True,
             batch_compute=batch_compute,
             ship_state_pickles=self._ship_state_pickles(),
@@ -739,12 +744,16 @@ class SyncEngine(JobFrame):
     def _ship_state_pickles(self) -> bool:
         """The planner input only a built engine can detect: whether its
         ship state pickles (tried only on a store that ships compute).
-        A job that does not (lambdas, closures) runs in the parent."""
+        A job that does not (lambdas, closures) runs in the parent.
+        The compute is pickled once here, into the reference that ships
+        in its place and resolves to each worker's resident copy."""
         if not getattr(self._store, "ships_compute", False):
             return False
         try:
+            self._compute_ref = Resident(self._compute)
             pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
+            self._compute_ref = None
             return False
         return True
 
@@ -754,11 +763,15 @@ class SyncEngine(JobFrame):
         Parent-only machinery (store handle, job object, exporter,
         runtime baselines, tracer, accumulators) is left out — not even
         its attribute names travel; tables go as child-side references
-        that resolve against the worker process's resident parts.
+        that resolve against the worker process's resident parts, and
+        the compute as a reference to the worker's resident copy, so
+        what it memoizes lasts the job, as on threads.
         """
         state = self.__dict__.copy()
         for name in _PARENT_ONLY:
             state.pop(name, None)
+        if self._compute_ref is not None:
+            state["_compute"] = self._compute_ref
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -1305,6 +1318,9 @@ class SyncEngine(JobFrame):
 
     # -- cleanup ------------------------------------------------------------------
     def _cleanup(self) -> None:
+        # the compute's residency ends first, so its drops run in the
+        # workers while the job's tables are dropped
+        dropping = self._drop_resident_compute() if self._compute_ref is not None else []
         for name in (self._transport_name,):
             try:
                 self._store.drop_table(name)
@@ -1315,3 +1331,24 @@ class SyncEngine(JobFrame):
                 self._store.drop_table(self._progress.table.name)
             except Exception:
                 pass
+        for future in dropping:
+            try:
+                future.result(timeout=5)
+            except Exception:
+                pass
+
+    def _drop_resident_compute(self) -> List[Any]:
+        """Start ending the compute's residency in every started worker;
+        returns the drops' futures.  Best-effort, like a table drop: a
+        dying worker takes its copy with it, and a respawned one holds
+        none until a task carrying the reference arrives.  (The parent
+        holds no copy: parent-side part-steps run on the engine itself.)"""
+        runtime = self._runtime
+        token = self._compute_ref.token
+        futures = []
+        for worker in runtime.started_workers():
+            try:
+                futures.append(runtime.submit_to_worker(worker, drop_resident, token))
+            except Exception:
+                pass
+        return futures

@@ -146,6 +146,7 @@ def plan_for(
     job: Any,
     store: Any = None,
     *,
+    compute: Any = None,
     synchronize: Optional[bool] = None,
     batch_compute: bool = True,
     ship_state_pickles: bool = False,
@@ -153,13 +154,27 @@ def plan_for(
     """The plan *job* runs by on *store*: its declared properties plus
     the facts detected from the job (aggregators, aborter, a
     ``compute_batch`` override) and the store (``ships_compute``).
-    ``batch_compute=False`` is the per-key reference lever.  Only a
-    built engine knows if its ship state pickles (*ship_state_pickles*)."""
+    The override is read off *compute*, the job's compute when the
+    caller has built it, else off one built here (only when
+    *batch_compute*).  ``batch_compute=False`` is the per-key reference
+    lever; anything but a ``bool`` is refused with
+    :class:`JobSpecError`.  Only a built engine knows if its ship state
+    pickles (*ship_state_pickles*)."""
+    require_bool("batch_compute", batch_compute)
+    if batch_compute and compute is None:
+        compute = job.get_compute()
     return ExecutionPlan.derive(
         job.properties(),
         bool(job.aggregators()),
         job.has_aborter,
         synchronize=synchronize,
-        columnar=batch_compute and job.get_compute().supports_batch(),
+        columnar=batch_compute and compute.supports_batch(),
         ships=ship_state_pickles and bool(getattr(store, "ships_compute", False)),
     )
+
+
+def require_bool(name: str, value: Any) -> None:
+    """Refuse a non-``bool`` engine switch (``None`` no longer means
+    "detect") with :class:`JobSpecError`."""
+    if not isinstance(value, bool):
+        raise JobSpecError(f"{name} must be True or False, not {value!r}")

@@ -46,6 +46,8 @@ def run_job(
         the synchronous engine; ``queuing`` for the asynchronous one;
         ``trace`` and ``on_step`` for both).
     """
-    if plan_for(job, store, synchronize=synchronize).synchronized:
+    # the engine choice does not depend on the part-step shape, so no
+    # compute is built here: the engine plans its shape from its own
+    if plan_for(job, store, synchronize=synchronize, batch_compute=False).synchronized:
         return SyncEngine(store, job, **engine_kwargs).run()
     return AsyncEngine(store, job, **engine_kwargs).run()

@@ -58,6 +58,7 @@ from repro.serde import (
     payload_column_array,
     unpack_payload_column,
 )
+from repro.util.sorting import stable_argsort
 
 MSG = "m"
 CONT = "c"
@@ -344,7 +345,7 @@ class SpillWriter:
                 arr[:] = payloads
             payloads = arr
         parts = self._route_parts(dest_keys)
-        order = np.argsort(parts, kind="stable")
+        order = stable_argsort(parts)
         parts = parts[order]
         dest_keys = dest_keys[order]
         payloads = payloads[order]
@@ -364,7 +365,7 @@ class SpillWriter:
             return
         self.continues_added += n
         parts = self._route_parts(dest_keys)
-        order = np.argsort(parts, kind="stable")
+        order = stable_argsort(parts)
         parts = parts[order]
         dest_keys = dest_keys[order]
         boundaries = np.flatnonzero(parts[1:] != parts[:-1]) + 1
@@ -740,7 +741,7 @@ def group_step_columns(cols: StepColumns) -> Tuple[np.ndarray, MessageBatch]:
             np.empty(0, dtype=object),
             MessageBatch(payloads, np.zeros(1, dtype=np.int64)),
         )
-    order = np.argsort(all_keys, kind="stable")
+    order = stable_argsort(all_keys)
     sorted_keys = all_keys[order]
     starts = np.concatenate(
         ([0], np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1)

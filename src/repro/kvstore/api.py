@@ -62,6 +62,7 @@ from repro.errors import (
 )
 from repro.runtime.shipping import CONSUMER_SHIP_ATTR
 from repro.util.hashing import part_for_key
+from repro.util.sorting import stable_argsort
 
 
 def run_to_future(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
@@ -537,8 +538,8 @@ class Table(abc.ABC):
         An integer key column under the default hash routes with one
         :meth:`part_of_many` call: a batch landing in one part (a
         part-step's own state always does) passes through whole, any
-        other splits with one stable argsort.  Other keys, and tables
-        with a custom ``key_hash``, route per key.
+        other splits with one :func:`stable_argsort`.  Other keys, and
+        tables with a custom ``key_hash``, route per key.
         """
         if not items:
             return {}
@@ -554,7 +555,7 @@ class Table(abc.ABC):
         parts = self.part_of_many(column)
         if (parts == parts[0]).all():
             return {int(parts[0]): items}
-        order = np.argsort(parts, kind="stable")
+        order = stable_argsort(parts)
         runs = np.split(order, np.flatnonzero(np.diff(parts[order])) + 1)
         return {int(parts[run[0]]): [items[i] for i in run.tolist()] for run in runs}
 

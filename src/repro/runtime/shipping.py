@@ -15,12 +15,18 @@ mean the opposite, so shipping is strictly opt-in:
   :class:`ShippingError` (a :class:`~repro.errors.RippleError`) that
   *names the offending object* instead of letting a raw
   ``PicklingError`` surface from a worker process.
+- :class:`Resident` keeps one object resident in every process that
+  receives it, until its owner ends the residency
+  (:func:`drop_resident`): the object is pickled once, and a shipped
+  reference unpickles it only in a process that does not hold it yet.
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable, TypeVar
+import threading
+import uuid
+from typing import Any, Callable, Dict, TypeVar
 
 from repro.errors import RippleError
 
@@ -67,3 +73,52 @@ def ensure_picklable(obj: Any, what: str) -> bytes:
             "and objects holding locks or threads must stay in the parent "
             "(they run on the threaded fallback automatically when unmarked)."
         ) from exc
+
+
+# -- process-resident objects ---------------------------------------------
+#
+# Token -> object, per process.  A worker installs an entry the first
+# time a reference to it arrives and keeps it until the owner drops the
+# token, so state an object memoizes survives from one shipped task to
+# the next.
+
+_RESIDENTS: Dict[str, Any] = {}
+_RESIDENTS_LOCK = threading.Lock()
+
+
+def _resolve_resident(token: str, payload: bytes) -> Any:
+    """The process's resident object for *token*, installed from
+    *payload* on first sight."""
+    with _RESIDENTS_LOCK:
+        obj = _RESIDENTS.get(token)
+        if obj is None:
+            obj = _RESIDENTS[token] = pickle.loads(payload)
+    return obj
+
+
+@shippable
+def drop_resident(token: str) -> None:
+    """End *token*'s residency in this process (a no-op if absent)."""
+    with _RESIDENTS_LOCK:
+        _RESIDENTS.pop(token, None)
+
+
+class Resident:
+    """A picklable reference that unpickles to a process-resident object.
+
+    Construction pickles *obj* once, under a fresh token.  Every pickle
+    of the reference carries the token and those bytes; unpickling
+    returns the receiving process's resident copy, installing it from
+    the bytes only when the process holds none (a fresh or respawned
+    worker).  The owner ends the residency with :func:`drop_resident`
+    in every process it shipped to.
+    """
+
+    __slots__ = ("token", "_payload")
+
+    def __init__(self, obj: Any):
+        self._payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        self.token = uuid.uuid4().hex
+
+    def __reduce__(self):
+        return (_resolve_resident, (self.token, self._payload))

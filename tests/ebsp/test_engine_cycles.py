@@ -13,7 +13,8 @@ each AsyncEngine case runs one drain plan — one drain per part (a part
 with nothing queued holds no drain until a post readies it) or work
 stealing — once clean and once with a drain whose compute raises.
 Each case checks that the plan it names is the one that ran.
-Every case runs on the inline, threaded and process runtimes.
+Every case runs on the inline, threaded and process runtimes; one more
+checks that a shipped engine's resident compute dies with it.
 """
 
 from __future__ import annotations
@@ -116,6 +117,27 @@ def test_engine_that_recovered_failures_dies_with_its_last_reference(plan, runti
         ref = weakref.ref(engine)
         del engine
         assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+        store.close()
+
+
+def test_shipped_engine_and_its_resident_compute_die_with_the_engine():
+    """On a process store the compute ships by reference to each
+    worker's resident copy; nothing in the parent keeps the engine or
+    its compute past the last reference."""
+    store = PartitionedKVStore(n_partitions=2, runtime="process")
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        engine = SyncEngine(store, DualFaceJob(24))
+        result = engine.run()
+        assert result.plan["shipped"] and result.plan["shape"] == "columnar"
+        refs = [weakref.ref(engine), weakref.ref(engine._compute)]
+        del engine
+        assert [ref() for ref in refs] == [None, None]
     finally:
         if enabled:
             gc.enable()

@@ -27,6 +27,7 @@ from repro.ebsp.engine import SyncEngine
 from repro.ebsp.loaders import MessageListLoader
 from repro.ebsp.properties import JobProperties
 from repro.ebsp.runner import plan_for, run_job
+from repro.errors import JobSpecError
 from repro.kvstore.local import LocalKVStore
 from repro.kvstore.partitioned import PartitionedKVStore
 from repro.service.catalog import default_catalog
@@ -143,6 +144,35 @@ class TestPlanFor:
             assert not plan_for(job, store).shipped
             assert plan_for(job, store, ship_state_pickles=True).shipped
             assert not plan_for(job, ship_state_pickles=True).shipped
+
+    @pytest.mark.parametrize("runtime", ["inline", "process"])
+    @pytest.mark.parametrize("job", ["sync", "no-sync"])
+    def test_a_job_builds_its_compute_once(self, job, runtime):
+        """``run_job``, the frame and the engine's planner share one
+        compute — on a process store, also the one part-steps ship."""
+        job = DualFaceJob(24) if job == "sync" else _relay_job(no_ss_order=True)
+        calls = []
+        build = job.get_compute
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        job.get_compute = counted
+        with PartitionedKVStore(n_partitions=2, runtime=runtime) as store:
+            result = run_job(store, job)
+        assert len(calls) == 1
+        assert _plan(result)["shipped"] is (runtime == "process" and result.synchronized)
+
+    @pytest.mark.parametrize("value", [None, 0, 1, "no"])
+    def test_batch_compute_must_be_a_bool(self, value):
+        with pytest.raises(JobSpecError, match="batch_compute"):
+            plan_for(DualFaceJob(24), batch_compute=value)
+        with PartitionedKVStore(n_partitions=2, runtime="inline") as store:
+            with pytest.raises(JobSpecError, match="batch_compute"):
+                run_job(store, DualFaceJob(24), synchronize=True, batch_compute=value)
+            # refused before the engine opened a single table
+            assert store.list_tables() == []
 
 
 def _keyword_types(engine):
