@@ -23,7 +23,7 @@ import pytest
 from repro.ebsp.async_engine import AsyncEngine
 from repro.ebsp.job import Compute, ComputeContext, Job
 from repro.ebsp.loaders import MessageListLoader
-from repro.ebsp.properties import JobProperties
+from repro.ebsp.properties import EngineOptions, JobProperties
 from repro.kvstore.partitioned import PartitionedKVStore
 
 from benchmarks.conftest import bench_rounds
@@ -70,7 +70,7 @@ def _run(rare_state: bool) -> float:
     )
     store = PartitionedKVStore(N_PARTS, runtime="threaded")
     try:
-        engine = AsyncEngine(store, _SkewedJob(properties))
+        engine = AsyncEngine(store, _SkewedJob(properties), EngineOptions())
         start = time.monotonic()
         result = engine.run()
         elapsed = time.monotonic() - start

@@ -38,6 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from dataclasses import replace
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -49,7 +50,7 @@ from repro.errors import (
 from repro.ebsp.frame import FrameContext, JobFrame
 from repro.ebsp.job import Job
 from repro.ebsp.loaders import StagedLoaderContext
-from repro.ebsp.properties import plan_for
+from repro.ebsp.properties import EngineOptions, plan_for
 from repro.ebsp.results import JobResult
 from repro.ebsp.termination import WeightController, WeightPurse
 from repro.obs.trace import activate
@@ -142,25 +143,14 @@ class _AsyncLoaderCtx(StagedLoaderContext):
 class AsyncEngine(JobFrame):
     """Executes a no-sync-eligible job without synchronization barriers."""
 
-    def __init__(
-        self,
-        store: KVStore,
-        job: Job,
-        *,
-        queuing: Optional[MessageQueuing] = None,
-        trace: Any = None,
-        on_step: Optional[Any] = None,
-    ):
-        # ``on_step`` is accepted for signature parity with SyncEngine
-        # (run_job forwards engine kwargs to whichever engine the plan
-        # picks) but never fires: a no-sync run has no barriers, hence
-        # no per-step timeline to report.
-        del on_step
-        super().__init__(store, job, trace)
+    def __init__(self, store: KVStore, job: Job, options: EngineOptions):
+        # pinned: a sync-only option is refused here
+        options = replace(options, synchronize=False)
+        super().__init__(store, job, options)
         # refuses an ineligible job; decides work stealing
-        self._plan = plan_for(job, store, compute=self._compute, synchronize=False)
+        self._plan = plan_for(job, store, options, compute=self._compute)
         self._work_stealing = self._plan.work_stealing
-        self._queuing = queuing if queuing is not None else LocalMessageQueuing()
+        self._queuing: MessageQueuing = options.queuing or LocalMessageQueuing()
         self._controller = WeightController()
         self._open()
         # The schedule, shared by the driver and the drains under one
@@ -197,7 +187,7 @@ class AsyncEngine(JobFrame):
                     self._queuing.delete_queue_set(self._queue_set.name)
                     self._queue_set = None
         self._metrics.counter("compute_invocations")
-        return self._finish_run(started, {"engine": "async"}, steps=0)
+        return self._finish_run(started, steps=0)
 
     def _drive(self) -> None:
         """Submit ready parts' drains until none is ready or in flight."""

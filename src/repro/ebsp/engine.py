@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import pickle
 import time
+from dataclasses import replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -39,15 +40,14 @@ import numpy as np
 from repro.errors import (
     AggregatorError,
     ComputeError,
-    JobSpecError,
     PropertyViolationError,
     RecoveryError,
 )
 from repro.ebsp.frame import FrameContext, JobFrame, _job_counters
 from repro.ebsp.job import BaseContext, BatchComputeContext, Compute, Job
 from repro.ebsp.loaders import StagedLoaderContext
-from repro.ebsp.properties import plan_for, require_bool
-from repro.ebsp.recovery import FailureInjector, ProgressTable, SimulatedFailure
+from repro.ebsp.properties import EngineOptions, plan_for
+from repro.ebsp.recovery import ProgressTable, SimulatedFailure
 from repro.ebsp.results import JobResult
 from repro.obs.trace import activate, get_tracer
 from repro.runtime.shipping import CONSUMER_SHIP_ATTR, Resident, drop_resident
@@ -653,7 +653,7 @@ _PARENT_ONLY = (
     "_part_cache",
     "_timeline",
     "_checkpoints",
-    "_on_step",
+    "_options",
     "_compute_ref",
 )
 
@@ -661,64 +661,28 @@ _PARENT_ONLY = (
 class SyncEngine(JobFrame):
     """Executes one job, synchronously, over a given store."""
 
-    def __init__(
-        self,
-        store: KVStore,
-        job: Job,
-        *,
-        spill_batch: int = 512,
-        max_steps: Optional[int] = None,
-        fault_tolerance: bool = False,
-        failure_injector: Optional[FailureInjector] = None,
-        trace: Any = None,
-        batch_compute: bool = True,
-        checkpoint_interval: int = 0,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
-        on_step: Optional[Any] = None,
-    ):
-        require_bool("batch_compute", batch_compute)
-        super().__init__(store, job, trace)
-        self._spill_batch = spill_batch
-        self._max_steps = max_steps
-        if failure_injector is not None and not fault_tolerance:
-            # without fault tolerance the input spills are deleted
-            # before compute, so a retried part-step loses its messages
-            raise JobSpecError("failure_injector requires fault_tolerance=True")
-        self._fault_tolerance = fault_tolerance
-        self._failure_injector = failure_injector
-        # Live progress hook: called with each step's StepMetrics right
-        # after the barrier (driver thread).  Exceptions are swallowed —
-        # a monitoring callback must never fail a tenant's job.
-        self._on_step = on_step
+    def __init__(self, store: KVStore, job: Job, options: EngineOptions):
+        # pinned: a no-sync-only option is refused here
+        options = replace(options, synchronize=True)
+        super().__init__(store, job, options)
+        # what a shipped part-step reads; the options stay in the parent
+        self._spill_batch = options.spill_batch
+        self._fault_tolerance = options.fault_tolerance
+        self._failure_injector = options.failure_injector
         self._agg_values: Dict[str, Any] = {}
-        # -- superstep checkpointing ----------------------------------
-        if checkpoint_interval < 0:
-            raise JobSpecError("checkpoint_interval must be >= 0")
-        self._checkpoint_interval = checkpoint_interval
-        self._resume = bool(resume)
-        if checkpoint_interval or resume:
-            if not fault_tolerance:
-                raise JobSpecError(
-                    "checkpointing/resume requires fault_tolerance=True "
-                    "(checkpoints capture the progress table and retained "
-                    "spills, which only exist under fault tolerance)"
-                )
+        self._checkpoints = None
+        if options.checkpoint_interval or options.resume:
             from repro.ebsp.checkpoint import CheckpointManager
 
-            self._checkpoints: Optional[CheckpointManager] = CheckpointManager(
-                store, type(job).__name__, directory=checkpoint_dir
+            self._checkpoints = CheckpointManager(
+                store, type(job).__name__, directory=options.checkpoint_dir
             )
-        else:
-            self._checkpoints = None
-
         self._open()
-        if fault_tolerance:
+        self._progress: Optional[ProgressTable] = None
+        if options.fault_tolerance:
             self._progress = ProgressTable(
                 self._store, f"__ebsp_progress_{self._jid}", self.n_parts
             )
-        else:
-            self._progress = None
         # records spilled per (step, dest part), folded from part-step
         # results at each barrier; this is what active-part scheduling reads
         self._spilled_per_step: Dict[int, Dict[int, int]] = {}
@@ -732,9 +696,8 @@ class SyncEngine(JobFrame):
         self._plan = plan_for(
             job,
             store,
+            options,
             compute=self._compute,
-            synchronize=True,
-            batch_compute=batch_compute,
             ship_state_pickles=self._ship_state_pickles(),
         )
         self._shape = {"per-key": _PerKeyShape, "columnar": _ColumnarShape,
@@ -876,7 +839,7 @@ class SyncEngine(JobFrame):
             with activate(self._tracer):
                 with self._tracer.span("job", cat="engine", lane="driver", jid=self._jid):
                     resumed_step = -1
-                    if self._resume:
+                    if self._options.resume:
                         with self._tracer.span("resume", cat="engine", lane="driver"):
                             resumed_step = self._restore_checkpoint()
                     if resumed_step >= 0:
@@ -894,16 +857,14 @@ class SyncEngine(JobFrame):
                             # nothing is enabled: execution is over
                             steps_taken = step
                             break
-                        if self._max_steps is not None and step >= self._max_steps:
+                        max_steps = self._options.max_steps
+                        if max_steps is not None and step >= max_steps:
                             steps_taken = step
                             break
                         self._run_step(step)
                         self._metrics.counter("barriers").add()
-                        if (
-                            self._checkpoints is not None
-                            and self._checkpoint_interval
-                            and (step + 1) % self._checkpoint_interval == 0
-                        ):
+                        interval = self._options.checkpoint_interval
+                        if interval and (step + 1) % interval == 0:
                             self._write_checkpoint(step)
                         if self._job.has_aborter and self._job.aborter(step, dict(self._agg_values)):
                             steps_taken = step + 1
@@ -912,7 +873,6 @@ class SyncEngine(JobFrame):
                         step += 1
             result = self._finish_run(
                 started,
-                {"engine": "sync", "steps": steps_taken},
                 steps=steps_taken,
                 aggregates=dict(self._agg_values),
                 aborted=aborted,
@@ -1024,12 +984,7 @@ class SyncEngine(JobFrame):
             self._progress.mark_completed_many(skipped, step)
         with self._tracer.span("superstep", cat="engine", lane="driver", step=step) as step_span:
             with self._tracer.span("barrier", cat="engine", lane="driver", step=step):
-                if self._fault_tolerance:
-                    result = self._enumerate_parts_ft(step, active)
-                else:
-                    result = self._transport.enumerate_parts(
-                        _StepConsumer(self, step), parts=active
-                    )
+                result = self._run_part_steps(step, active)
             # ---- the synchronization barrier has happened here ----
             t_barrier = time.perf_counter()
             step_span.annotate(
@@ -1057,9 +1012,10 @@ class SyncEngine(JobFrame):
             barrier_wait_seconds=barrier_wait,
         )
         self._timeline.append(metrics_entry)
-        if self._on_step is not None:
+        # a monitoring callback must never fail a tenant's job
+        if self._options.on_step is not None:
             try:
-                self._on_step(metrics_entry)
+                self._options.on_step(metrics_entry)
             except Exception:
                 pass
 
@@ -1106,11 +1062,11 @@ class SyncEngine(JobFrame):
                 self._direct_exporter.export(key, value)
 
     # -- part-step recovery ----------------------------------------------------
-    def _enumerate_parts_ft(self, step: int, active: List[int]) -> "_PartStepResult":
+    def _run_part_steps(self, step: int, active: List[int]) -> "_PartStepResult":
         """One step's part-steps as individually re-drivable futures.
 
-        The fault-tolerant analogue of ``transport.enumerate_parts``, and
-        the one recovery policy for every failed part-step: a
+        The one driver loop and the one recovery policy for every failed
+        part-step: a
         :class:`~repro.ebsp.recovery.SimulatedFailure` raised in the
         part-step and a :class:`~repro.runtime.retry.WorkerLostError`
         (the worker died or was killed for blowing its deadline) fail
@@ -1120,9 +1076,10 @@ class SyncEngine(JobFrame):
         partial; a part that did not gets the failed attempt's spills
         deleted and is re-driven alone from its retained input spills,
         on whatever worker now owns the part (the respawned child, or
-        the parent after degradation).  Past :data:`MAX_RETRIES` the
-        last failure propagates unchanged.  Results fold in part order,
-        so recovery never perturbs aggregation order.
+        the parent after degradation).  Past :data:`MAX_RETRIES` — or
+        at once without fault tolerance, which retains nothing to re-drive
+        from — the last failure propagates unchanged.  Results fold in
+        part order, so recovery never perturbs aggregation order.
         """
         from repro.runtime.api import finished_future
         from repro.runtime.retry import WorkerLostError
@@ -1131,6 +1088,7 @@ class SyncEngine(JobFrame):
         pending = self._transport.submit_part_steps(consumer, parts=active)
         results: Dict[int, _PartStepResult] = {}
         attempts: Dict[int, int] = {}
+        budget = MAX_RETRIES if self._fault_tolerance else 0
         while pending:
             failed = []
             for part in sorted(pending):
@@ -1139,7 +1097,7 @@ class SyncEngine(JobFrame):
                 except (SimulatedFailure, WorkerLostError) as exc:
                     self._metrics.counter("part_step_retries").add()
                     attempts[part] = attempts.get(part, 0) + 1
-                    if attempts[part] > MAX_RETRIES:
+                    if attempts[part] > budget:
                         raise
                     # a retried failure's traceback holds the frames that
                     # dispatched it (and their futures): drop it, or it

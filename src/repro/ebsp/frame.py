@@ -6,9 +6,10 @@ or without them, on queue sets under Huang termination
 (:class:`~repro.ebsp.async_engine.AsyncEngine`).  Everything that does
 not depend on *how* the computes are driven is written once, here:
 
-* construction — tracer, compute, aggregators, the job id, the
-  metrics registry, the store's worker runtime and the direct exporter,
-  with the job's state exporters checked before anything runs;
+* construction — the job's :class:`~repro.ebsp.properties.EngineOptions`,
+  tracer, compute, aggregators, the job id, the metrics registry, the
+  store's worker runtime and the direct exporter, with the job's state
+  exporters checked before anything runs;
 * the state tables (names, part count, creation), the job's stats
   window, and the broadcast snapshot (:meth:`JobFrame._open`);
 * key → part routing, memoized (:meth:`JobFrame._part_of`);
@@ -33,6 +34,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import JobSpecError
 from repro.ebsp.job import ComputeContext, Job
+from repro.ebsp.properties import EngineOptions
 from repro.ebsp.results import JobResult, record_job_stats, record_job_trace
 from repro.kvstore.api import FnPairConsumer, KVStore, Table, TableSpec
 from repro.obs.metrics import MetricsRegistry
@@ -181,11 +183,11 @@ class FrameContext(ComputeContext):
 class JobFrame:
     """One job's engine-independent lifecycle over a given store."""
 
-    def __init__(self, store: KVStore, job: Job, trace: Any):
+    def __init__(self, store: KVStore, job: Job, options: EngineOptions):
         self._store = store
         self._job = job
-        # None defers to RIPPLE_TRACE; True/False/Tracer are explicit.
-        self._tracer: Tracer = resolve_tracer(trace)
+        self._options = options
+        self._tracer: Tracer = resolve_tracer(options.trace)
         self._compute = job.get_compute()
         self._aggs = dict(job.aggregators())
         # a misnamed exporter is a spec error: refuse before any compute
@@ -279,9 +281,7 @@ class JobFrame:
         return part_for_key(key, self.n_parts)
 
     # -- finishing a run -------------------------------------------------------
-    def _finish_run(
-        self, started: float, trace_metadata: Dict[str, Any], **fields: Any
-    ) -> JobResult:
+    def _finish_run(self, started: float, **fields: Any) -> JobResult:
         """Assemble this run's :class:`JobResult` from the engine's own
         *fields* (steps, aggregates, …) and the frame's metrics; record
         it with the store, export outputs, and call ``on_complete``."""
@@ -295,14 +295,14 @@ class JobFrame:
             elapsed_seconds=time.monotonic() - started,
             worker_stats=worker_stats,
             metrics=metrics,
-            synchronized=self._plan.synchronized,
             plan=self._plan.as_dict(),
             **fields,
         )
         if self._tracer.enabled:
             from repro.obs.export import export_tracer
 
-            result.trace = export_tracer(self._tracer, extra_metadata=trace_metadata)
+            metadata = {"engine": result.plan["engine"], "steps": result.steps}
+            result.trace = export_tracer(self._tracer, extra_metadata=metadata)
         job_seq = record_job_stats(self._store, result)
         record_job_trace(self._store, job_seq, result)
         self._export_outputs()

@@ -54,7 +54,6 @@ class JobResult:
     aborted: bool = False
     counters: Dict[str, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
-    synchronized: bool = True
     timeline: list = field(default_factory=list)
     #: Per-worker runtime counters for this job (delta over the store's
     #: WorkerRuntime): tasks, busy_seconds, steals, and a ``workers``
@@ -70,6 +69,11 @@ class JobResult:
     trace: Optional[Dict[str, Any]] = None
     #: How the job ran (:meth:`~repro.ebsp.properties.ExecutionPlan.as_dict`).
     plan: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def synchronized(self) -> bool:
+        """Whether the job ran with barriers (the plan's record)."""
+        return self.plan["synchronized"]
 
     @property
     def compute_invocations(self) -> int:

@@ -21,8 +21,9 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional
 
 from repro.errors import JobError
 from repro.ebsp.job import Job
+from repro.ebsp.properties import EngineOptions
 from repro.ebsp.results import JobResult
-from repro.ebsp.runner import run_job
+from repro.ebsp.runner import run_with_options
 from repro.kvstore.api import KVStore
 from repro.runtime import RuntimeSpec, resolve_runtime
 
@@ -45,6 +46,8 @@ class JobHandle:
     job: Job
     writes: FrozenSet[str]
     reads: FrozenSet[str]
+    #: How the job runs, checked at submit.
+    options: EngineOptions = field(default_factory=EngineOptions, repr=False)
     state: JobState = JobState.QUEUED
     result: Optional[JobResult] = None
     error: Optional[BaseException] = None
@@ -97,7 +100,6 @@ class JobScheduler:
         self._running_reads: Dict[str, FrozenSet[str]] = {}
         self._free_slots: List[int] = list(range(max_concurrent))
         self._closed = False
-        self._engine_kwargs: Dict[str, Dict[str, Any]] = {}
 
     # -- submission ----------------------------------------------------------
     def submit(
@@ -113,14 +115,16 @@ class JobScheduler:
         *on_start* fires right before the job begins executing;
         *on_done* fires once it reaches a terminal state (including
         cancellation).  Callbacks run on scheduler threads and must not
-        block; exceptions they raise are swallowed.
+        block; exceptions they raise are swallowed.  Bad *engine_kwargs*
+        (:class:`EngineOptions` fields) are refused before anything queues.
         """
+        options = EngineOptions(**engine_kwargs)
         tables = set(job.state_table_names())
         reads = frozenset(read_only or []) & tables
         writes = frozenset(tables - reads)
         handle = JobHandle(
             job_id=uuid.uuid4().hex[:12], job=job, writes=writes, reads=reads,
-            on_start=on_start, on_done=on_done,
+            options=options, on_start=on_start, on_done=on_done,
         )
         with self._lock:
             # checked under the lock: close() cancels the queue under
@@ -130,7 +134,6 @@ class JobScheduler:
                 raise JobError("scheduler is shut down")
             self._handles[handle.job_id] = handle
             self._queue.append(handle.job_id)
-            self._engine_kwargs[handle.job_id] = dict(engine_kwargs)
         self._pump()
         return handle
 
@@ -141,7 +144,6 @@ class JobScheduler:
             if handle is None or handle.state is not JobState.QUEUED:
                 return False
             self._queue.remove(job_id)
-            self._engine_kwargs.pop(job_id, None)
             handle.state = JobState.CANCELLED
             handle.finished_at = time.monotonic()
             handle._done.set()
@@ -158,7 +160,6 @@ class JobScheduler:
             if handle is None or not handle.done:
                 return False
             del self._handles[job_id]
-            self._engine_kwargs.pop(job_id, None)
             return True
 
     @staticmethod
@@ -198,14 +199,13 @@ class JobScheduler:
             self._runtime.submit(slot, self._run_one, handle, slot)
 
     def _run_one(self, handle: JobHandle, slot: int) -> None:
-        kwargs = self._engine_kwargs.get(handle.job_id, {})
         if handle.on_start is not None:
             try:
                 handle.on_start(handle)
             except Exception:
                 pass
         try:
-            handle.result = run_job(self._store, handle.job, **kwargs)
+            handle.result = run_with_options(self._store, handle.job, handle.options)
             handle.state = JobState.SUCCEEDED
         except BaseException as exc:  # recorded, not raised here
             handle.error = exc
@@ -213,7 +213,6 @@ class JobScheduler:
         finally:
             handle.finished_at = time.monotonic()
             with self._lock:
-                self._engine_kwargs.pop(handle.job_id, None)
                 self._running_writes.pop(handle.job_id, None)
                 self._running_reads.pop(handle.job_id, None)
                 self._free_slots.append(slot)
@@ -261,7 +260,6 @@ class JobScheduler:
             if not already_closed:
                 for job_id in self._queue:
                     handle = self._handles[job_id]
-                    self._engine_kwargs.pop(job_id, None)
                     handle.state = JobState.CANCELLED
                     handle.finished_at = time.monotonic()
                     handle._done.set()

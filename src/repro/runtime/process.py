@@ -187,7 +187,10 @@ class ProcessRuntime(ThreadedRuntime):
         self._rebuild_hooks: List[Callable[[int], None]] = []
         self._degrade_hooks: List[Callable[[int], None]] = []
         self._journal_sink: Optional[Callable[[list], None]] = None
+        # in-flight upcalls, keyed (source worker, uid): the child that
+        # sent each, and the child it was forwarded to
         self._upcall_sources: Dict[Tuple[int, int], _ChildHandle] = {}
+        self._upcall_dests: Dict[Tuple[int, int], _ChildHandle] = {}
         self._upcall_src_lock = threading.Lock()
         self._timed_out_tids: Set[int] = set()
         self._deadline_thread: Optional[threading.Thread] = None
@@ -452,6 +455,13 @@ class ProcessRuntime(ThreadedRuntime):
             stale = [key for key, value in self._upcall_sources.items() if value is handle]
             for key in stale:
                 del self._upcall_sources[key]
+                self._upcall_dests.pop(key, None)
+            orphaned = [key for key, value in self._upcall_dests.items() if value is handle]
+        # the dead pipe is drained: upcalls forwarded here get no xdone
+        for src_worker, uid in orphaned:
+            self._ack_upcall_error(
+                uid, src_worker, worker, ChildProcessError("exited with the upcall in flight")
+            )
         self._fail_worker_pending(worker, pid, self._respawn_status(worker))
         if already:
             return  # the in-progress respawn loop owns recovery
@@ -673,9 +683,10 @@ class ProcessRuntime(ThreadedRuntime):
                 raise WorkerLostError(
                     "destination degraded with no parent-side state installed"
                 )
-            self._ensure_child(dest).send(
-                ("xtask", uid, src_worker, is_long, get_tracer().enabled, payload)
-            )
+            child = self._ensure_child(dest)
+            with self._upcall_src_lock:
+                self._upcall_dests[(src_worker, uid)] = child
+            child.send(("xtask", uid, src_worker, is_long, get_tracer().enabled, payload))
         except (OSError, ValueError, ShippingError, RuntimeClosedError) as exc:
             self._ack_upcall_error(uid, src_worker, dest, exc)
 
@@ -697,6 +708,7 @@ class ProcessRuntime(ThreadedRuntime):
     def _send_upcall_ack(self, uid: int, src_worker: int, ok: bool, payload: bytes) -> None:
         with self._upcall_src_lock:
             recorded = self._upcall_sources.pop((src_worker, uid), None)
+            self._upcall_dests.pop((src_worker, uid), None)
         source = self._children[src_worker]
         if source is None or (recorded is not None and source is not recorded):
             # The source died (or was respawned — its upcall uids restart

@@ -41,7 +41,8 @@ class PreparedJob:
     """Everything the front door needs to run one catalog app."""
 
     job: Job
-    #: Passed through to ``run_job`` via the scheduler.
+    #: The job's :class:`~repro.ebsp.properties.EngineOptions` fields,
+    #: passed through to ``run_job`` via the scheduler.
     engine_kwargs: Dict[str, Any] = field(default_factory=dict)
     #: Tables no job writes, whose mutation epochs version this job's
     #: result (empty when the result is a pure function of the request).
@@ -204,12 +205,13 @@ def _build_pagerank(store: KVStore, request: JobRequest) -> PreparedJob:
         }
 
     # The graph table is only read; the plan picks the columnar shape
-    # for the batch job unless the request sets batch_compute false.
+    # for the batch job unless the request sets batch_compute false, and
+    # barriers from its aggregators.
     return PreparedJob(
         job=pagerank_batch_job(
             store, table, p["n_vertices"], config, ranks_table=ranks_table
         ),
-        engine_kwargs={"synchronize": True, **dict(request.engine)},
+        engine_kwargs=dict(request.engine),
         input_tables=[table],
         scratch_tables=[ranks_table],
         collect=collect,
@@ -289,7 +291,9 @@ def _build_summa(store: KVStore, request: JobRequest) -> PreparedJob:
         request,
     )
     load_summa_blocks(store, a, b, grid, table)
-    synchronize = bool(dict(request.engine).get("synchronize", True))
+    # barriers unless the request turns them off: the synchronized job
+    # declares no property, so the plan derives them
+    synchronize = request.engine.get("synchronize", True)
 
     def collect(store: KVStore, result: JobResult) -> Any:
         c = assemble_summa_result(store, grid, table)
@@ -301,7 +305,7 @@ def _build_summa(store: KVStore, request: JobRequest) -> PreparedJob:
 
     return PreparedJob(
         job=summa_job(table, grid, synchronized=synchronize),
-        engine_kwargs={"synchronize": synchronize, **dict(request.engine)},
+        engine_kwargs=dict(request.engine),
         scratch_tables=[table],
         collect=collect,
     )
@@ -342,8 +346,7 @@ def _build_kmeans(store: KVStore, request: JobRequest) -> PreparedJob:
 
     return PreparedJob(
         job=kmeans_job(table, points, p["k"]),
-        engine_kwargs={"synchronize": True, "max_steps": max_iterations,
-                       **dict(request.engine)},
+        engine_kwargs={"max_steps": max_iterations, **dict(request.engine)},
         scratch_tables=[table],
         collect=collect,
     )

@@ -17,7 +17,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
-from repro.errors import BadRequestError
+from repro.ebsp.properties import ALLOWED_ENGINE_OPTIONS, SYNC_ONLY_ENGINE_OPTIONS, EngineOptions
+from repro.errors import BadRequestError, JobSpecError
 
 
 class JobStatus(enum.Enum):
@@ -39,23 +40,6 @@ class JobStatus(enum.Enum):
     def terminal(self) -> bool:
         return self in (JobStatus.DONE, JobStatus.FAILED, JobStatus.CANCELLED)
 
-
-#: Engine options a remote client may set, with their expected types.
-#: Arbitrary ``**engine_kwargs`` over HTTP would let a tenant pass
-#: process-local objects (tracers, failure injectors) by name — this
-#: whitelist keeps the wire surface to plain, safe switches.
-ALLOWED_ENGINE_OPTIONS: Dict[str, type] = {
-    "synchronize": bool,
-    "max_steps": int,
-    "batch_compute": bool,
-    "fault_tolerance": bool,
-    "checkpoint_interval": int,
-    "spill_batch": int,
-}
-
-#: Everything but ``synchronize`` configures the synchronous engine;
-#: the barrier-free engine accepts none of these options.
-SYNC_ONLY_ENGINE_OPTIONS = frozenset(ALLOWED_ENGINE_OPTIONS) - {"synchronize"}
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 
@@ -104,28 +88,18 @@ class JobRequest:
             raise BadRequestError("params must be JSON-serializable")
         if not isinstance(self.engine, Mapping):
             raise BadRequestError("engine must be a JSON object")
-        for key, value in self.engine.items():
-            expected = ALLOWED_ENGINE_OPTIONS.get(key)
-            if expected is None:
+        # the whitelist keeps objects (tracers, injectors, callbacks) off
+        # the wire; the values are checked where every caller's are
+        for key in self.engine:
+            if key not in ALLOWED_ENGINE_OPTIONS:
                 allowed = ", ".join(sorted(ALLOWED_ENGINE_OPTIONS))
                 raise BadRequestError(
                     f"engine option {key!r} is not allowed (allowed: {allowed})"
                 )
-            if expected is int:
-                ok = isinstance(value, int) and not isinstance(value, bool)
-            else:
-                ok = isinstance(value, expected)
-            if not ok:
-                raise BadRequestError(
-                    f"engine option {key!r} must be a {expected.__name__}"
-                )
-        if self.engine.get("synchronize") is False:
-            sync_only = sorted(SYNC_ONLY_ENGINE_OPTIONS & set(self.engine))
-            if sync_only:
-                raise BadRequestError(
-                    f"engine options {sync_only} need synchronize=true "
-                    "(the barrier-free engine takes none of them)"
-                )
+        try:
+            EngineOptions(**self.engine)
+        except JobSpecError as exc:
+            raise BadRequestError(str(exc)) from None
 
     def fingerprint(self) -> str:
         """Cache key: sha256 over the canonical (app, params, engine).

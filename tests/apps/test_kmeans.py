@@ -18,6 +18,7 @@ from repro.apps.kmeans import (
 )
 from repro.apps.kmeans.job import MOVED, _KMeansCompute, _PointState, kmeans_job
 from repro.ebsp.engine import SyncEngine
+from repro.ebsp.properties import EngineOptions
 from repro.ebsp.runner import run_job
 from repro.kvstore.local import LocalKVStore
 from repro.kvstore.partitioned import PartitionedKVStore
@@ -303,7 +304,8 @@ def test_finished_engine_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        engine = SyncEngine(store, kmeans_job("cycle_check", points, 3), max_steps=6)
+        job = kmeans_job("cycle_check", points, 3)
+        engine = SyncEngine(store, job, EngineOptions(max_steps=6))
         result = engine.run()
         assert result.plan["shape"] == "columnar" and result.plan["shipped"]
         assert result.steps > 0

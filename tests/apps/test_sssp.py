@@ -29,6 +29,7 @@ from repro.apps.sssp.wave import (
     wave_sssp_job,
 )
 from repro.ebsp.engine import SyncEngine
+from repro.ebsp.properties import EngineOptions
 from repro.ebsp.runner import run_job
 from repro.ebsp.transport import MessageBatch
 from repro.graph.generators import power_law_undirected_edges
@@ -503,7 +504,8 @@ def test_finished_wave_engine_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        engine = SyncEngine(store, wave_sssp_job("cycle_graph", "cycle_dist", 0, 300))
+        job = wave_sssp_job("cycle_graph", "cycle_dist", 0, 300)
+        engine = SyncEngine(store, job, EngineOptions())
         result = engine.run()
         assert result.plan["shape"] == "columnar" and result.plan["shipped"]
         assert result.steps > 0

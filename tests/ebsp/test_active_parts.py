@@ -13,6 +13,7 @@ import pytest
 
 from repro.ebsp.aggregators import MaxAggregator, MinAggregator, SumAggregator
 from repro.ebsp.engine import SyncEngine
+from repro.ebsp.properties import EngineOptions
 from repro.ebsp.loaders import EnableKeysLoader, MessageListLoader
 from repro.ebsp.recovery import FailureInjector
 from repro.ebsp.runner import run_job
@@ -113,8 +114,7 @@ class TestActiveScheduling:
         engine = SyncEngine(
             store,
             ping_job(6),
-            fault_tolerance=True,
-            failure_injector=injector,
+            EngineOptions(fault_tolerance=True, failure_injector=injector),
         )
         marked = []
         progress = engine._progress

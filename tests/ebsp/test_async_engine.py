@@ -13,7 +13,7 @@ from repro.ebsp.aggregators import SumAggregator
 from repro.ebsp.async_engine import AsyncEngine
 from repro.ebsp.exporters import CollectingExporter
 from repro.ebsp.loaders import DictStateLoader, EnableKeysLoader, MessageListLoader
-from repro.ebsp.properties import JobProperties
+from repro.ebsp.properties import EngineOptions, JobProperties
 from repro.ebsp.runner import run_job
 from repro.kvstore.local import LocalKVStore
 from repro.kvstore.partitioned import PartitionedKVStore
@@ -34,7 +34,7 @@ class TestEligibility:
     def test_ineligible_job_rejected(self, store):
         job = TestJob(lambda ctx: False)  # no properties declared
         with pytest.raises(JobSpecError):
-            AsyncEngine(store, job)
+            AsyncEngine(store, job, EngineOptions())
 
     def test_aggregators_make_ineligible(self, store):
         job = TestJob(
@@ -43,7 +43,7 @@ class TestEligibility:
             aggregators={"x": SumAggregator()},
         )
         with pytest.raises(JobSpecError):
-            AsyncEngine(store, job)
+            AsyncEngine(store, job, EngineOptions())
 
     def test_aborter_makes_ineligible(self, store):
         job = TestJob(
@@ -52,7 +52,7 @@ class TestEligibility:
             aborter=lambda step, aggs: False,
         )
         with pytest.raises(JobSpecError):
-            AsyncEngine(store, job)
+            AsyncEngine(store, job, EngineOptions())
 
     def test_run_job_auto_selects_async(self, store):
         def fn(ctx):
@@ -260,7 +260,7 @@ class TestWorkStealing:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            engine = AsyncEngine(store, job)
+            engine = AsyncEngine(store, job, EngineOptions())
             result = engine.run()
         finally:
             sys.setswitchinterval(interval)

@@ -21,7 +21,7 @@ from repro.ebsp.loaders import (
     FunctionLoader,
     MessageListLoader,
 )
-from repro.ebsp.properties import JobProperties
+from repro.ebsp.properties import EngineOptions, JobProperties
 from repro.ebsp.runner import run_job
 from repro.kvstore.api import TableSpec
 
@@ -60,7 +60,7 @@ class TestBarrierSemantics:
             pass
 
         job = TestJob(fn, loaders=[EnableKeysLoader(range(8))])
-        engine = SyncEngine(partitioned_store, job)
+        engine = SyncEngine(partitioned_store, job, EngineOptions())
 
         # wrap _run_step to mark when step 0 fully completes
         original = engine._run_step
@@ -555,7 +555,7 @@ class TestControl:
     def test_reference_table_sets_partitioning(self, fast_store):
         fast_store.create_table(TableSpec(name="ref", n_parts=7))
         job = TestJob(lambda ctx: False, state_tables=["fresh"], reference="ref")
-        engine = SyncEngine(fast_store, job)
+        engine = SyncEngine(fast_store, job, EngineOptions())
         assert engine.n_parts == 7
         assert fast_store.get_table("fresh").n_parts == 7
 

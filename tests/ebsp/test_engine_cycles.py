@@ -28,7 +28,7 @@ from repro.errors import ComputeError
 from repro.ebsp.async_engine import AsyncEngine
 from repro.ebsp.engine import SyncEngine
 from repro.ebsp.loaders import MessageListLoader
-from repro.ebsp.properties import JobProperties
+from repro.ebsp.properties import EngineOptions, JobProperties
 from repro.ebsp.runner import plan_for
 from repro.ebsp.recovery import FailureInjector
 from repro.kvstore.partitioned import PartitionedKVStore
@@ -76,7 +76,7 @@ def test_finished_engine_dies_with_its_last_reference(plan, runtime):
     gc.collect()
     gc.disable()
     try:
-        engine = SyncEngine(store, make_job(), **options)
+        engine = SyncEngine(store, make_job(), EngineOptions(**options))
         result = engine.run()
         assert result.plan["shape"] == shape
         assert result.steps > 0
@@ -109,7 +109,9 @@ def test_engine_that_recovered_failures_dies_with_its_last_reference(plan, runti
     gc.disable()
     try:
         engine = SyncEngine(
-            store, make_job(), fault_tolerance=True, failure_injector=injector, **options
+            store,
+            make_job(),
+            EngineOptions(fault_tolerance=True, failure_injector=injector, **options),
         )
         result = engine.run()
         assert result.plan["shape"] == shape
@@ -132,7 +134,7 @@ def test_shipped_engine_and_its_resident_compute_die_with_the_engine():
     gc.collect()
     gc.disable()
     try:
-        engine = SyncEngine(store, DualFaceJob(24))
+        engine = SyncEngine(store, DualFaceJob(24), EngineOptions())
         result = engine.run()
         assert result.plan["shipped"] and result.plan["shape"] == "columnar"
         refs = [weakref.ref(engine), weakref.ref(engine._compute)]
@@ -170,7 +172,7 @@ def test_finished_async_engine_dies_with_its_last_reference(plan, runtime):
     gc.collect()
     gc.disable()
     try:
-        engine = AsyncEngine(store, _no_sync_job(properties))
+        engine = AsyncEngine(store, _no_sync_job(properties), EngineOptions())
         result = engine.run()
         assert result.plan["work_stealing"] is stealing
         assert result.compute_invocations == 8
@@ -210,7 +212,7 @@ def test_async_engine_whose_drain_raised_dies_with_its_last_reference(plan, runt
     gc.collect()
     gc.disable()
     try:
-        engine = AsyncEngine(store, job)
+        engine = AsyncEngine(store, job, EngineOptions())
         try:
             engine.run()
         except ComputeError:

@@ -15,11 +15,13 @@ from repro.errors import JobSpecError
 from repro.ebsp.async_engine import AsyncEngine
 from repro.ebsp.engine import SyncEngine
 from repro.ebsp.exporters import CollectingExporter
+from repro.ebsp.frame import JobFrame
 from repro.ebsp.loaders import DictStateLoader, MessageListLoader
-from repro.ebsp.properties import JobProperties
+from repro.ebsp.properties import EngineOptions, JobProperties
 from repro.ebsp.recovery import FailureInjector
 from repro.ebsp.runner import run_job
 from repro.kvstore.partitioned import PartitionedKVStore
+from repro.messaging.local_queue import LocalMessageQueuing
 
 from tests.conftest import runtime_override
 from tests.ebsp.jobs import TestJob
@@ -55,7 +57,7 @@ def _chain_job(**kwargs):
 
 
 def test_no_sync_result_reports_the_jobs_own_store_io(store):
-    engine = AsyncEngine(store, _chain_job())
+    engine = AsyncEngine(store, _chain_job(), EngineOptions())
     before = store.stats.snapshot()["marshalled_bytes"]
     result = engine.run()
     delta = store.stats.snapshot()["marshalled_bytes"] - before
@@ -70,8 +72,9 @@ def test_both_engines_report_the_same_metric_names(store):
         stored = {name for name in result.counters if name.startswith("store_")}
         return runtime, stored
 
-    sync = SyncEngine(store, _chain_job(state_tables=["sync_state"])).run()
-    no_sync = AsyncEngine(store, _chain_job(state_tables=["async_state"])).run()
+    options = EngineOptions()
+    sync = SyncEngine(store, _chain_job(state_tables=["sync_state"]), options).run()
+    no_sync = AsyncEngine(store, _chain_job(state_tables=["async_state"]), options).run()
     assert sync.synchronized and not no_sync.synchronized
     runtime, stored = names(sync)
     assert runtime and stored
@@ -95,30 +98,45 @@ def test_misnamed_state_exporter_refused_before_anything_runs(store, engine_cls)
         state_exporters={"ghost": CollectingExporter()},
     )
     with pytest.raises(JobSpecError, match="ghost"):
-        engine_cls(store, job).run()
+        engine_cls(store, job, EngineOptions()).run()
     assert invoked == []
     assert not [name for name in store.list_tables() if name.startswith("__ebsp")]
 
 
-#: Every other refusal an engine makes of its options, each with the
-#: words its error names.
+def _engine(engine_cls, **options):
+    return lambda store, job: engine_cls(store, job, EngineOptions(**options)).run()
+
+
+def _run(**options):
+    return lambda store, job: run_job(store, job, **options)
+
+
+#: Every other refusal of a job's options, each with the words its
+#: error names.
 REFUSALS = {
     "failure-injector-without-ft": (
-        lambda store, job: SyncEngine(store, job, failure_injector=FailureInjector()).run(),
-        "fault_tolerance",
+        _engine(SyncEngine, failure_injector=FailureInjector()), "fault_tolerance",
     ),
-    "checkpoints-without-ft": (
-        lambda store, job: SyncEngine(store, job, checkpoint_interval=2).run(),
-        "fault_tolerance",
+    "checkpoints-without-ft": (_engine(SyncEngine, checkpoint_interval=2), "fault_tolerance"),
+    "resume-without-ft": (_engine(SyncEngine, resume=True), "fault_tolerance"),
+    "no-sync-ineligible": (_run(synchronize=False), "not eligible for no-sync"),
+    "sync-only-without-barriers": (
+        _run(synchronize=False, max_steps=3), r"\['max_steps'\] need synchronize=true",
     ),
-    "resume-without-ft": (
-        lambda store, job: SyncEngine(store, job, resume=True).run(),
-        "fault_tolerance",
+    "sync-only-to-the-no-sync-engine": (
+        _engine(AsyncEngine, spill_batch=8), r"\['spill_batch'\] need synchronize=true",
     ),
-    "no-sync-ineligible": (
-        lambda store, job: run_job(store, job, synchronize=False),
-        "not eligible for no-sync",
+    "queuing-with-barriers": (
+        _run(synchronize=True, queuing=LocalMessageQueuing()),
+        r"\['queuing'\] need synchronize=false",
     ),
+    "queuing-to-the-sync-engine": (
+        _engine(SyncEngine, queuing=LocalMessageQueuing()),
+        r"\['queuing'\] need synchronize=false",
+    ),
+    "max-steps-a-string": (_run(max_steps="3"), "'max_steps' must be an int"),
+    "fault-tolerance-a-string": (_run(fault_tolerance="yes"), "'fault_tolerance' must be True"),
+    "spill-batch-zero": (_run(spill_batch=0), "'spill_batch' must be >= 1"),
 }
 
 
@@ -140,10 +158,6 @@ def test_option_refused_before_anything_runs(store, refusal):
 
 
 def test_async_engine_options():
-    assert list(inspect.signature(AsyncEngine).parameters) == [
-        "store",
-        "job",
-        "queuing",
-        "trace",
-        "on_step",
-    ]
+    """Each engine, and the frame under both, takes one options object."""
+    for engine_cls in (JobFrame, SyncEngine, AsyncEngine):
+        assert list(inspect.signature(engine_cls).parameters) == ["store", "job", "options"]

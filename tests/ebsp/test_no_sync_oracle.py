@@ -20,7 +20,7 @@ from repro.apps.sssp.wave import build_graph_table, read_distances, wave_sssp_jo
 from repro.apps.summa import BlockGrid, summa_multiply
 from repro.ebsp.async_engine import AsyncEngine
 from repro.ebsp.loaders import MessageListLoader
-from repro.ebsp.properties import JobProperties
+from repro.ebsp.properties import EngineOptions, JobProperties
 from repro.ebsp.runner import run_job
 from repro.graph.generators import power_law_undirected_edges
 from repro.kvstore.api import TableSpec
@@ -77,7 +77,8 @@ def test_no_sync_summa_product_equals_the_synchronous_one(store):
 def test_controller_ends_holding_exactly_one(store):
     build_graph_table(store, "graph", _adjacency())
     store.create_table(TableSpec(name="dist"))
-    engine = AsyncEngine(store, wave_sssp_job("graph", "dist", 0, N_VERTICES))
+    job = wave_sssp_job("graph", "dist", 0, N_VERTICES)
+    engine = AsyncEngine(store, job, EngineOptions())
     result = engine.run()
     assert result.compute_invocations > 0
     assert engine._controller.held == Fraction(1)

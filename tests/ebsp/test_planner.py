@@ -11,8 +11,10 @@ planner.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
+import re
 import typing
 
 import pytest
@@ -22,14 +24,18 @@ from repro.apps.pagerank import (
     build_pagerank_table,
     pagerank_batch,
 )
+from repro.apps.sssp.wave import build_graph_table, read_distances, wave_sssp_job
+from repro.ebsp import async_engine, frame
 from repro.ebsp.async_engine import AsyncEngine
 from repro.ebsp.engine import SyncEngine
 from repro.ebsp.loaders import MessageListLoader
-from repro.ebsp.properties import JobProperties
+from repro.ebsp.properties import EngineOptions, JobProperties
 from repro.ebsp.runner import plan_for, run_job
-from repro.errors import JobSpecError
+from repro.ebsp.recovery import FailureInjector
+from repro.errors import JobSpecError, RecoveryError
 from repro.kvstore.local import LocalKVStore
 from repro.kvstore.partitioned import PartitionedKVStore
+from repro.messaging.local_queue import LocalMessageQueuing
 from repro.service.catalog import default_catalog
 from repro.service.spec import (
     ALLOWED_ENGINE_OPTIONS,
@@ -134,9 +140,11 @@ class TestPlanFor:
     def test_agrees_with_the_engines(self):
         store = LocalKVStore(default_n_parts=2)
         no_sync = _relay_job(no_ss_order=True, rare_state=True)
-        assert AsyncEngine(store, no_sync).run().plan == plan_for(no_sync).as_dict()
+        no_sync_run = AsyncEngine(store, no_sync, EngineOptions()).run()
+        assert no_sync_run.plan == plan_for(no_sync).as_dict()
         sync = DualFaceJob(24)
-        assert SyncEngine(store, sync).run().plan == plan_for(sync, store).as_dict()
+        sync_run = SyncEngine(store, sync, EngineOptions()).run()
+        assert sync_run.plan == plan_for(sync, store).as_dict()
 
     def test_shipping_needs_the_engines_pickle_fact(self):
         with PartitionedKVStore(n_partitions=2, runtime="process") as store:
@@ -167,7 +175,7 @@ class TestPlanFor:
     @pytest.mark.parametrize("value", [None, 0, 1, "no"])
     def test_batch_compute_must_be_a_bool(self, value):
         with pytest.raises(JobSpecError, match="batch_compute"):
-            plan_for(DualFaceJob(24), batch_compute=value)
+            plan_for(DualFaceJob(24), options=EngineOptions(batch_compute=value))
         with PartitionedKVStore(n_partitions=2, runtime="inline") as store:
             with pytest.raises(JobSpecError, match="batch_compute"):
                 run_job(store, DualFaceJob(24), synchronize=True, batch_compute=value)
@@ -175,28 +183,88 @@ class TestPlanFor:
             assert store.list_tables() == []
 
 
-def _keyword_types(engine):
-    hints = typing.get_type_hints(engine.__init__)
+def _wave_graph(store):
+    """A 40-vertex ring with chords, for the no-sync-eligible wave SSSP."""
+    adjacency = {v: {(v + 1) % 40, (v - 1) % 40, (v * 7) % 40} - {v} for v in range(40)}
+    build_graph_table(store, "graph", adjacency)
+
+
+def _sync_only_sample(name, tmp_path):
+    """Options that set the sync-only option *name* off its default."""
     return {
-        name: hints[name]
-        for name, param in inspect.signature(engine).parameters.items()
-        if param.kind is inspect.Parameter.KEYWORD_ONLY
-    }
+        "max_steps": {"max_steps": 1000},
+        "spill_batch": {"spill_batch": 8},
+        "batch_compute": {"batch_compute": False},
+        "fault_tolerance": {"fault_tolerance": True},
+        "checkpoint_interval": {"checkpoint_interval": 2, "fault_tolerance": True,
+                                "checkpoint_dir": str(tmp_path)},
+        "checkpoint_dir": {"checkpoint_dir": str(tmp_path)},
+        "resume": {"resume": True, "fault_tolerance": True, "checkpoint_dir": str(tmp_path)},
+        "failure_injector": {"failure_injector": FailureInjector(), "fault_tolerance": True},
+    }[name]
+
+
+class TestOptionsPickTheEngine:
+    """An option only the synchronous engine reads plans barriers; one
+    only the no-sync engine reads plans none; at its default an option
+    asks for nothing."""
+
+    @pytest.mark.parametrize("name", sorted(SYNC_ONLY_ENGINE_OPTIONS))
+    def test_sync_only_option_plans_barriers(self, name, tmp_path):
+        options = _sync_only_sample(name, tmp_path)
+        with PartitionedKVStore(n_partitions=3, runtime="inline") as store:
+            _wave_graph(store)
+            job = wave_sssp_job("graph", "plain", 0, 40)
+            assert plan_for(job, store, EngineOptions(**options)).synchronized
+            plain = run_job(store, job, synchronize=True)
+            if name == "resume":
+                # the synchronous engine looks for its checkpoint
+                with pytest.raises(RecoveryError, match="no checkpoint"):
+                    run_job(store, wave_sssp_job("graph", "dist", 0, 40), **options)
+                return
+            result = run_job(store, wave_sssp_job("graph", "dist", 0, 40), **options)
+            assert _plan(result)["engine"] == "sync"
+            assert result.steps == plain.steps
+            assert read_distances(store, "dist", range(40)) == read_distances(
+                store, "plain", range(40)
+            )
+
+    def test_options_at_their_defaults_ask_for_nothing(self):
+        with PartitionedKVStore(n_partitions=3, runtime="inline") as store:
+            _wave_graph(store)
+            result = run_job(
+                store, wave_sssp_job("graph", "dist", 0, 40),
+                synchronize=False, fault_tolerance=False, spill_batch=512, max_steps=None,
+            )
+        assert _plan(result)["engine"] == "no-sync"
+
+    def test_queuing_plans_no_barriers(self):
+        job = wave_sssp_job("graph", "dist", 0, 40)
+        options = EngineOptions(queuing=LocalMessageQueuing())
+        assert options.barriers is False
+        assert not plan_for(job, options=options).synchronized
+        # on an ineligible job it is the no-sync refusal
+        with pytest.raises(JobSpecError, match="not eligible for no-sync"):
+            plan_for(DualFaceJob(24), options=options)
 
 
 class TestEngineOptionDrift:
-    def test_wire_options_are_sync_engine_keywords_of_the_same_type(self):
-        keywords = _keyword_types(SyncEngine)
+    def test_wire_options_are_engine_option_fields_of_the_same_type(self):
+        declared = typing.get_type_hints(EngineOptions)
+        wire = {f.name for f in dataclasses.fields(EngineOptions) if f.metadata["wire"]}
+        assert set(ALLOWED_ENGINE_OPTIONS) == wire
         for name, wire_type in ALLOWED_ENGINE_OPTIONS.items():
-            if name == "synchronize":  # run_job's own switch
-                continue
-            assert name in keywords, name
-            declared = keywords[name]
-            assert declared is wire_type or declared == typing.Optional[wire_type], name
+            assert wire_type in (bool, int), name
+            assert declared[name] in (wire_type, typing.Optional[wire_type]), name
 
-    def test_sync_only_options_are_what_the_async_engine_does_not_take(self):
-        taken = set(_keyword_types(AsyncEngine)) | {"synchronize"}
-        assert SYNC_ONLY_ENGINE_OPTIONS == set(ALLOWED_ENGINE_OPTIONS) - taken
+    def test_sync_only_options_are_what_the_async_engine_does_not_read(self):
+        no_sync_source = inspect.getsource(async_engine) + inspect.getsource(frame)
+        read = set(re.findall(r"options\.(\w+)", no_sync_source))
+        assert read and not read & SYNC_ONLY_ENGINE_OPTIONS
+        names = {f.name for f in dataclasses.fields(EngineOptions)}
+        # each engine pins synchronize; a no-sync run has no barriers to
+        # call on_step after, but the front door attaches it to every job
+        assert SYNC_ONLY_ENGINE_OPTIONS == names - read - {"synchronize", "on_step"}
 
 
 #: Small, valid parameters for every catalog app.

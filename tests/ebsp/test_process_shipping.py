@@ -31,6 +31,7 @@ from repro.apps.pagerank.batch import (
     read_rank_table,
 )
 from repro.ebsp.engine import MAX_RETRIES, SyncEngine
+from repro.ebsp.properties import EngineOptions
 from repro.ebsp.loaders import MessageListLoader
 from repro.ebsp.recovery import FailureInjector, SimulatedFailure
 from repro.ebsp.runner import run_job
@@ -207,9 +208,11 @@ def test_no_worker_keeps_the_compute_after_the_job(outcome):
         engine = SyncEngine(
             store,
             pagerank_batch_job(store, "graph", n, PageRankConfig(iterations=4)),
-            fault_tolerance=True,
-            failure_injector=injector,
-            on_step=lambda metrics: seen.append(_resident_anywhere(store, token)),
+            EngineOptions(
+                fault_tolerance=True,
+                failure_injector=injector,
+                on_step=lambda metrics: seen.append(_resident_anywhere(store, token)),
+            ),
         )
         token = engine._compute_ref.token
         if outcome == "fails":

@@ -22,6 +22,7 @@ import pytest
 
 from repro.ebsp.aggregators import SumAggregator
 from repro.ebsp.engine import MAX_RETRIES, SyncEngine
+from repro.ebsp.properties import EngineOptions
 from repro.ebsp.exporters import Exporter
 from repro.ebsp.job import Compute, Job
 from repro.ebsp.loaders import MessageListLoader
@@ -310,7 +311,7 @@ class TestInjectorLedger:
 class TestErrorsCrossTheProcessHop:
     def test_compute_error_from_a_shipped_part_step(self):
         with PartitionedKVStore(n_partitions=2, runtime="process") as store:
-            engine = SyncEngine(store, ChainJob(fail_with_value_error=True))
+            engine = SyncEngine(store, ChainJob(fail_with_value_error=True), EngineOptions())
             assert engine._plan.shipped
             with pytest.raises(ComputeError) as raised:
                 engine.run()

@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from repro.errors import JobError
+from repro.errors import JobError, JobSpecError
 from repro.ebsp.loaders import MessageListLoader
+from repro.ebsp.properties import EngineOptions
 from repro.ebsp.scheduler import JobScheduler, JobState
 from repro.kvstore.partitioned import PartitionedKVStore
 
@@ -108,8 +109,25 @@ class TestLifecycle:
     def test_engine_kwargs_forwarded(self, store):
         with JobScheduler(store) as scheduler:
             handle = scheduler.submit(chain_job("a", 100), max_steps=3)
+            assert handle.options == EngineOptions(max_steps=3)
             assert handle.wait(timeout=30)
             assert handle.result.steps == 3
+
+    @pytest.mark.parametrize(
+        "options, error",
+        [
+            ({"max_step": 3}, TypeError),  # not an option
+            ({"max_steps": "3"}, JobSpecError),
+            ({"spill_batch": 0}, JobSpecError),
+            ({"synchronize": False, "fault_tolerance": True}, JobSpecError),
+        ],
+    )
+    def test_bad_options_are_refused_at_submit(self, store, options, error):
+        with JobScheduler(store) as scheduler:
+            with pytest.raises(error):
+                scheduler.submit(chain_job("a", 3), **options)
+            assert scheduler.jobs() == []
+        assert not store.has_table("a")
 
 
 class TestConflictRules:

@@ -146,7 +146,6 @@ def test_forget_drops_only_finished_handles(store):
             scheduler.handle(running.job_id)
         assert scheduler.forget(running.job_id) is False  # already gone
         assert scheduler.jobs() == []
-        assert scheduler._engine_kwargs == {}  # no kwargs leak either
 
 
 def test_inline_runtime_runs_jobs_synchronously(store):

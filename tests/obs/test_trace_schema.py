@@ -80,7 +80,7 @@ class TestTracedRun:
         result = run_job(store, job, synchronize=False, trace=True)
         assert result.trace is not None
         assert validate_chrome_trace(result.trace) == []
-        assert result.trace["otherData"]["engine"] == "async"
+        assert result.trace["otherData"]["engine"] == "no-sync"
 
     def test_untraced_run_attaches_nothing(self, store):
         result = run_job(store, _ripple_job(), synchronize=True)

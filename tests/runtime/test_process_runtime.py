@@ -10,6 +10,7 @@ picklability preflight diagnostics, and child-process cleanup.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -19,6 +20,9 @@ import time
 
 import pytest
 
+from repro.apps.pagerank import PageRankConfig, build_pagerank_table, pagerank_batch
+from repro.apps.pagerank.batch import read_rank_table
+from repro.ebsp.recovery import FailureInjector
 from repro.kvstore.api import PartConsumer, TableSpec
 from repro.kvstore.partitioned import PartitionedKVStore
 from repro.runtime import (
@@ -29,6 +33,7 @@ from repro.runtime import (
     WorkerLostError,
     stats_delta,
 )
+from repro.runtime.process import child_upcall_async
 from repro.runtime.shipping import (
     CONSUMER_SHIP_ATTR,
     ShippingError,
@@ -62,6 +67,19 @@ def _suicide():
 def _sleep(seconds):
     time.sleep(seconds)
     return seconds
+
+
+@shippable
+def _exit_now():
+    os._exit(1)
+
+
+@shippable
+def _upcall_exit(lane):
+    """From a worker, upcall an op that kills *lane*'s worker; the wait
+    is bounded so a lost ack cannot pin the worker past the test."""
+    payload = pickle.dumps((_exit_now, ()))
+    return child_upcall_async(lane, False, payload).result(timeout=60)
 
 
 class _PidConsumer(PartConsumer):
@@ -360,6 +378,56 @@ class TestCrashTolerance:
                 break
             time.sleep(0.1)
         assert not leaked, f"leaked runtime threads: {[t.name for t in leaked]}"
+
+
+class TestUpcallDestinationLoss:
+    """An upcall forwarded to a worker that dies before answering is
+    answered by the parent with :class:`WorkerLostError`."""
+
+    @pytest.mark.parametrize("policy", [None, RetryPolicy(max_respawns=2)])
+    def test_upcall_to_a_dying_worker_resolves(self, policy):
+        runtime = ProcessRuntime(2, name="up", retry_policy=policy)
+        try:
+            future = runtime.submit(0, _upcall_exit, 1)
+            with pytest.raises(WorkerLostError, match="upcall destination worker 1"):
+                future.result(timeout=20)
+        finally:
+            runtime.close()
+
+    def test_pagerank_survives_a_kill_without_a_task_deadline(self):
+        """A part-step killed mid-superstep takes the upcalls other
+        part-steps sent it; they fail, are retried, and the ranks match
+        a threaded run byte for byte."""
+        adjacency = {v: [(v + 1) % 200, (v * 7 + 3) % 200] for v in range(200)}
+
+        def ranks(runtime, **options):
+            with PartitionedKVStore(
+                n_partitions=4, runtime=runtime, crash_tolerance=runtime != "threaded"
+            ) as store:
+                n = build_pagerank_table(store, "graph", adjacency, n_parts=4)
+                result = pagerank_batch(
+                    store, "graph", n, PageRankConfig(iterations=4), **options
+                )
+                return result, pickle.dumps(sorted(read_rank_table(store, "graph_ranks").items()))
+
+        _, threaded = ranks("threaded")
+        injector = FailureInjector()
+        injector.schedule_kill(part=1, step=2)
+        outcome = {}
+
+        def crash_run():
+            runtime = ProcessRuntime(4, retry_policy=RetryPolicy(max_respawns=3))
+            outcome["result"], outcome["ranks"] = ranks(
+                runtime, fault_tolerance=True, failure_injector=injector
+            )
+
+        thread = threading.Thread(target=crash_run, daemon=True)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "the job hung on an unanswered upcall"
+        assert injector.claimed("kill") == 1
+        assert outcome["result"].part_step_retries >= 1
+        assert outcome["ranks"] == threaded
 
 
 def _pid_alive(pid: int) -> bool:

@@ -17,6 +17,7 @@ from repro.ebsp.job import Compute, ComputeContext, Job
 from repro.ebsp.loaders import DictStateLoader
 from repro.ebsp.scheduler import JobScheduler
 from repro.kvstore.local import LocalKVStore
+from repro.kvstore.partitioned import PartitionedKVStore
 from repro.service import (
     FrontDoor,
     JobRequest,
@@ -320,6 +321,30 @@ class TestCaching:
                 assert json.dumps(record.payload, sort_keys=True) == json.dumps(
                     direct_payload, sort_keys=True
                 ), request.app
+
+
+def test_catalog_plans_with_the_front_doors_on_step_attached():
+    """The front door attaches ``on_step`` to every job; both engines
+    read it, so it neither stops shipping nor forces barriers."""
+    requests = {
+        "pagerank": JobRequest(app="pagerank", params=PR_PARAMS),
+        "kmeans": JobRequest(app="kmeans", params={"n_points": 30, "k": 3}),
+        "summa": JobRequest(
+            app="summa", params={"m": 6, "n": 4, "inner": 5}, engine={"synchronize": False}
+        ),
+    }
+    with PartitionedKVStore(n_partitions=2, runtime="process") as store:
+        with FrontDoor(store) as fd:
+            plans = {}
+            for app, request in requests.items():
+                record = fd.submit(request)
+                assert record.wait(60) and record.status is JobStatus.DONE, app
+                plans[app] = fd._scheduler.handle(record.scheduler_id).result.plan
+                if app != "summa":
+                    assert record.steps_seen > 0, app
+    assert plans["pagerank"]["shipped"] is True
+    assert plans["kmeans"]["shipped"] is True
+    assert plans["summa"]["engine"] == "no-sync"
 
 
 class TestRetention:

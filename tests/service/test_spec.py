@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import inspect
+import dataclasses
 
 import pytest
 
-from repro.ebsp.engine import SyncEngine
+from repro.ebsp.properties import EngineOptions
 from repro.errors import BadRequestError
 from repro.kvstore.local import LocalKVStore
 from repro.service import FrontDoor, ServiceServer
@@ -59,6 +59,22 @@ class TestValidation:
         JobRequest(app="a", engine={**engine, "synchronize": True}).validate()
         del engine["synchronize"]
         JobRequest(app="a", engine=engine).validate()
+
+    @pytest.mark.parametrize(
+        "engine, words",
+        [
+            ({"spill_batch": 0}, "'spill_batch' must be >= 1"),
+            ({"max_steps": -1}, "'max_steps' must be >= 0"),
+            ({"checkpoint_interval": 2}, "require fault_tolerance=True"),
+            ({"synchronize": False, "batch_compute": False}, "need synchronize=true"),
+        ],
+    )
+    def test_values_checked_by_engine_options(self, engine, words):
+        with pytest.raises(BadRequestError, match=words):
+            JobRequest(app="a", engine=engine).validate()
+
+    def test_options_at_their_defaults_ask_for_nothing(self):
+        JobRequest(app="a", engine={"synchronize": False, "fault_tolerance": False}).validate()
 
     def test_unserializable_params_rejected(self):
         with pytest.raises(BadRequestError):
@@ -121,13 +137,8 @@ class TestWireDrift:
     and then fails the job."""
 
     def test_whitelisted_options_are_engine_keywords(self):
-        keywords = {
-            name
-            for name, param in inspect.signature(SyncEngine).parameters.items()
-            if param.kind is inspect.Parameter.KEYWORD_ONLY
-        }
-        # synchronize picks the engine in run_job; it is not an engine option
-        assert set(ALLOWED_ENGINE_OPTIONS) - {"synchronize"} <= keywords
+        fields = {field.name for field in dataclasses.fields(EngineOptions)}
+        assert set(ALLOWED_ENGINE_OPTIONS) <= fields
 
     @pytest.mark.parametrize(
         "option", ["active_scheduling", "compact_spills", "pipelined_transport"]
